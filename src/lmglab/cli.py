@@ -226,7 +226,8 @@ def build_parser() -> _Parser:
         p.add_argument("--formats", type=str, default=None,
                        help=f"comma list from {{{','.join(ALL_FORMATS)}}}")
         p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for the grid (default: machine parallelism)")
+                       help="worker processes for the grid, at most one per core and "
+                            "per task (default: machine parallelism)")
         p.add_argument("--skip-errors", action="store_const", const=True, default=None,
                        help="record failed points and exit 0 instead of 3")
         p.add_argument("--config", type=str, default=None,
@@ -453,12 +454,18 @@ def _evaluate_task(task: tuple) -> list[dict]:
     return rows
 
 
+def _pool_size(jobs: int, n_tasks: int) -> int:
+    """Workers worth starting: no more than requested, cores or tasks."""
+    return min(jobs, os.cpu_count() or 1, n_tasks)
+
+
 def _run_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = _pool_size(jobs, len(tasks))
+    if workers <= 1:
         nested = [_evaluate_task(t) for t in tasks]
     else:
-        chunk = max(1, len(tasks) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = max(1, len(tasks) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(_evaluate_task, tasks, chunksize=chunk))
     rows = [row for group in nested for row in group]
     rows.sort(key=lambda r: (r["N"], r["h"], r["tau"], r["method"]))

@@ -1,16 +1,18 @@
 """Reduction of a Dicke-basis ground state to an M-spin subsystem.
 
-Splitting the N spins into a block A of M spins and its complement, a
-Dicke state decomposes over products |J_A, -J_A + p> |J_B, -J_B + (m-p)>
-with amplitudes sqrt(H(p; 2J, 2J_A, m)), where H is the hypergeometric
-distribution: the probability that p of the m collective excitations
-fall in subsystem A.  The reduced density matrix then reads
+Splitting the N spins into a block A of M spins and its complement B, a
+Dicke state decomposes over products |J_A, -J_A + p> |J_B, -J_B + k>,
+where p and k count the excitations in A and in B.  The amplitude of the
+product is the Schmidt matrix
 
-    (rho_A)_{p,q} = sum_m C_m C_{q+m-p}
-                    * sqrt(H(p; 2J, 2J_A, m)) * sqrt(H(q; 2J, 2J_A, q+m-p)),
+    Psi[p, k] = C_{p+k} * sqrt(H(p; N, M, p+k)),
 
-an (M+1)x(M+1) real symmetric matrix.  Any factor with an out-of-range
-argument contributes exactly zero.
+with H the hypergeometric distribution: the probability that p of the
+p+k collective excitations fall in block A.  Tracing out B leaves
+
+    rho_A = Psi Psi^T,
+
+an (M+1)x(M+1) real symmetric matrix, at a cost of O(M^2 (N-M)).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import DickeGroundState
 
@@ -120,16 +123,14 @@ def hypergeometric_weight(p: int, two_j: int, two_j1: int, m: int) -> float:
 
 
 @lru_cache(maxsize=8)
-def _sqrt_weight_table(n: int, m_sub: int) -> np.ndarray:
-    """sqrt(H(p; N, M, m)) as an (M+1) x (N+1) table, zero off support."""
-    n_b = n - m_sub
+def _schmidt_weights(n: int, m_sub: int) -> np.ndarray:
+    """sqrt(H(p; N, M, p+k)) as an (M+1) x (N-M+1) table over p and k."""
     lb_a = _log_binomials(m_sub)
-    lb_b = _log_binomials(n_b)
+    lb_b = _log_binomials(n - m_sub)
     lb_j = _log_binomials(n)
-    table = np.zeros((m_sub + 1, n + 1))
-    for p in range(m_sub + 1):
-        ms = np.arange(p, p + n_b + 1)
-        table[p, ms] = np.exp(0.5 * (lb_a[p] + lb_b - lb_j[ms]))
+    p = np.arange(m_sub + 1)[:, None]
+    k = np.arange(n - m_sub + 1)
+    table = np.exp(0.5 * (lb_a[p] + lb_b - lb_j[p + k]))
     table.flags.writeable = False
     return table
 
@@ -137,12 +138,10 @@ def _sqrt_weight_table(n: int, m_sub: int) -> np.ndarray:
 def reduce_state(state: DickeGroundState, part: Bipartition) -> ReducedDensity:
     """Trace the ground state down to the m_sub-spin reduced density matrix.
 
-    The double-hypergeometric sum runs over the full m = 0..N range with
-    the zero conventions above.  The result is symmetrized as
-    (rho + rho^T)/2 to remove roundoff asymmetry, and its trace is
-    required to be 1 within 1e-12.
-
-    Cost is O(N * M^2); this is the per-point hot spot of a sweep.
+    Builds the Schmidt matrix Psi[p, k] = C_{p+k} sqrt(H(p; N, M, p+k))
+    and returns rho_A = Psi Psi^T, one matrix product costing
+    O(M^2 (N-M)).  The result is symmetrized as (rho + rho^T)/2 to remove
+    roundoff asymmetry, and its trace is required to be 1 within 1e-12.
     """
     if part.n != state.params.n:
         raise ValueError(
@@ -150,22 +149,9 @@ def reduce_state(state: DickeGroundState, part: Bipartition) -> ReducedDensity:
         )
     n = part.n
     m_sub = part.m_sub
-    weights = _sqrt_weight_table(n, m_sub)
-    amp = weights * state.coefficients  # amp[p, m] = C_m sqrt(H(p; m))
-
-    rho = np.zeros((m_sub + 1, m_sub + 1))
-    # rho[p, p+d] = sum_m amp[p, m] * amp[p+d, m+d], one diagonal per lag d.
-    for d in range(-m_sub, m_sub + 1):
-        p_lo = max(0, -d)
-        p_hi = min(m_sub, m_sub - d)
-        m_lo = max(0, -d)
-        m_hi = min(n, n - d)
-        if p_hi < p_lo or m_hi < m_lo:
-            continue
-        left = amp[p_lo : p_hi + 1, m_lo : m_hi + 1]
-        right = amp[p_lo + d : p_hi + d + 1, m_lo + d : m_hi + d + 1]
-        idx = np.arange(p_lo, p_hi + 1)
-        rho[idx, idx + d] = np.einsum("pm,pm->p", left, right)
+    hankel = sliding_window_view(state.coefficients, n - m_sub + 1)
+    psi = _schmidt_weights(n, m_sub) * hankel
+    rho = psi @ psi.T
     rho = 0.5 * (rho + rho.T)
 
     trace_err = abs(rho.trace() - 1.0)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from lmglab.cli import _pool_size
+
 HEADER = "h,N,tau,chi_g,chi_r,eta,entropy,method,delta,status"
 GOLDEN = Path(__file__).parent / "data" / "golden_sweep_h.csv"
 
@@ -295,6 +297,18 @@ class TestPeakScan:
         )
         assert proc.returncode == 1
         assert "widen" in proc.stderr
+
+
+class TestPoolSize:
+    def test_clamped_to_tasks_and_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert _pool_size(10**6, 3) == 3
+        assert _pool_size(10**6, 100) == 8
+        assert _pool_size(2, 100) == 2
+
+    def test_unknown_core_count_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _pool_size(10**6, 3) == 1
 
 
 def test_help_exits_zero():

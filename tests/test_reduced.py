@@ -4,6 +4,7 @@ import pytest
 from lmglab.analytic import entropy_analytic
 from lmglab.model import ModelParams, ground_state
 from lmglab.reduced import (
+    TRACE_TOL,
     Bipartition,
     ReducedDensity,
     ReducedDensityError,
@@ -88,6 +89,43 @@ class TestReduceState:
                 brute = partial_trace_first(psi, m_sub, n)
                 ours = lift_reduced(reduce_state(state, Bipartition(n, m_sub)).matrix)
                 np.testing.assert_allclose(ours, brute, atol=1e-10)
+
+    @pytest.mark.parametrize("h", [0.5, 1.0, 1.5])
+    def test_matches_scalar_hypergeometric_sum(self, h):
+        # Independent reference at a size the 2^N oracles cannot reach:
+        # rho[p, q] = sum_m C_m C_{q+m-p} sqrt(H(p; m)) sqrt(H(q; q+m-p)).
+        n = 40
+        state = ground_state(ModelParams(n, 0.5, h))
+        c = state.coefficients
+        for m_sub in [1, 13, 20, 39, 40]:
+            w = np.sqrt(
+                [
+                    [hypergeometric_weight(p, n, m_sub, m) for m in range(n + 1)]
+                    for p in range(m_sub + 1)
+                ]
+            )
+            ref = np.zeros((m_sub + 1, m_sub + 1))
+            for p in range(m_sub + 1):
+                for q in range(m_sub + 1):
+                    ref[p, q] = sum(
+                        c[m] * c[q + m - p] * w[p, m] * w[q, q + m - p]
+                        for m in range(max(0, p - q), min(n, n + p - q) + 1)
+                    )
+            ours = reduce_state(state, Bipartition(n, m_sub)).matrix
+            np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-14)
+
+    def test_odd_lags_vanish_for_definite_parity(self):
+        state = ground_state(ModelParams(256, 0.5, 0.5))
+        rho = reduce_state(state, Bipartition(256, 100)).matrix
+        p, q = np.indices(rho.shape)
+        assert np.all(rho[(p - q) % 2 == 1] == 0.0)
+
+    @pytest.mark.parametrize("h", [0.9, 0.99, 1.1])
+    def test_invariants_at_large_n(self, h):
+        state = ground_state(ModelParams(2048, 0.5, h))
+        rho = reduce_state(state, Bipartition(2048, 1024)).matrix
+        assert abs(rho.trace() - 1.0) <= TRACE_TOL
+        assert np.array_equal(rho, rho.T)
 
     def test_size_mismatch_raises(self):
         state = ground_state(ModelParams(8, 0.5, 0.7))
