@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import EigensolverError, ModelParams, ground_state
+from .model import DickeGroundState, EigensolverError, ModelParams, ground_state
 from .reduced import (
     PSD_FLOOR,
     Bipartition,
@@ -195,13 +195,6 @@ def auto_delta(h: float) -> float:
     return 1e-3 * max(1.0, abs(h))
 
 
-def _chi_global(params: ModelParams, delta: float) -> float:
-    def overlap_state(h: float) -> np.ndarray:
-        return ground_state(replace(params, h=h)).coefficients
-
-    return fs_finite_difference(overlap_state, params.h, delta)
-
-
 def sweep_point(
     params: ModelParams,
     part: Bipartition,
@@ -225,9 +218,21 @@ def sweep_point(
     if probe is None:
         probe = use_auto
 
-    chi_g = _chi_global(params, step)
+    # Ground states of this call by field value: the chi_g and chi_r
+    # stencils share their fields, so each distinct h is solved once.
+    states: dict[float, DickeGroundState] = {}
+
+    def state_at(h: float) -> DickeGroundState:
+        if h not in states:
+            states[h] = ground_state(replace(params, h=h))
+        return states[h]
+
+    def coefficients_at(h: float) -> np.ndarray:
+        return state_at(h).coefficients
+
+    chi_g = fs_finite_difference(coefficients_at, params.h, step)
     if probe:
-        chi_half = _chi_global(params, 0.5 * step)
+        chi_half = fs_finite_difference(coefficients_at, params.h, 0.5 * step)
         scale = max(abs(chi_g), abs(chi_half), 1e-300)
         if abs(chi_g - chi_half) / scale > 1e-3:
             warnings.warn(
@@ -238,7 +243,7 @@ def sweep_point(
             )
 
     def reduced_at(h: float) -> ReducedDensity:
-        return reduce_state(ground_state(replace(params, h=h)), part)
+        return reduce_state(state_at(h), part)
 
     rho_mid = reduced_at(params.h)
     entropy = von_neumann_entropy(rho_mid)

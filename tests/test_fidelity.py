@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import lmglab.fidelity
 from lmglab.fidelity import (
     DeltaProbeWarning,
     FailedPoint,
@@ -216,3 +218,48 @@ class TestSweep:
             peaks[n] = (hs[int(np.argmax(chis))], chis.max())
         assert abs(peaks[64][0] - 1.0) < abs(peaks[32][0] - 1.0)
         assert peaks[64][1] > peaks[32][1]
+
+
+class TestStencilSharing:
+    """sweep_point solves each distinct stencil field once per call."""
+
+    @pytest.fixture
+    def solved_fields(self, monkeypatch):
+        fields = []
+
+        def counting(params):
+            fields.append(params.h)
+            return ground_state(params)
+
+        monkeypatch.setattr(lmglab.fidelity, "ground_state", counting)
+        return fields
+
+    @pytest.mark.parametrize(
+        "h, method, probe, solves",
+        [
+            (0.8, "finite-difference", True, 5),
+            (0.8, "finite-difference", False, 3),
+            (0.8, "spectral", True, 7),
+            (0.0, "finite-difference", True, 3),
+        ],
+    )
+    def test_solve_counts(self, solved_fields, h, method, probe, solves):
+        sweep_point(ModelParams(40, 0.5, h), Bipartition(40, 20), method=method,
+                    probe=probe)
+        assert len(solved_fields) == solves
+        assert len(set(solved_fields)) == solves
+
+    @pytest.mark.parametrize("h", [0.0, 0.8])
+    def test_values_equal_fresh_solves(self, h):
+        params = ModelParams(40, 0.5, h)
+        part = Bipartition(40, 20)
+        point = sweep_point(params, part)
+
+        def fresh(x):
+            return ground_state(replace(params, h=x))
+
+        chi_g = fs_finite_difference(lambda x: fresh(x).coefficients, h, point.delta)
+        chi_r = fs_finite_difference(lambda x: reduce_state(fresh(x), part), h,
+                                     point.delta)
+        assert point.chi_g == chi_g
+        assert point.chi_r == chi_r

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,25 @@ from lmglab.reduced import (
     Bipartition,
     ReducedDensity,
     ReducedDensityError,
+    _log_binomials,
     hypergeometric_weight,
     reduce_state,
     von_neumann_entropy,
 )
 
 from oracles import lift_reduced, lift_to_product_basis, partial_trace_first
+
+
+class TestLogBinomials:
+    @pytest.mark.parametrize(
+        "n", [0, 1, 2, 3, 4, 63, 64, 511, 512, 1023, 1024, 4095, 4096]
+    )
+    def test_equals_log_of_exact_comb(self, n):
+        # n = 0 is reached by the complement table when M = N.
+        table = _log_binomials(n)
+        expected = [math.log(math.comb(n, k)) for k in range(n + 1)]
+        assert np.array_equal(table, expected)
+        assert not table.flags.writeable
 
 
 class TestHypergeometricWeight:
@@ -126,6 +141,19 @@ class TestReduceState:
         rho = reduce_state(state, Bipartition(2048, 1024)).matrix
         assert abs(rho.trace() - 1.0) <= TRACE_TOL
         assert np.array_equal(rho, rho.T)
+
+    def test_invariants_at_n_32768(self):
+        # Smoke test of the binomial tables at large N; no timing is asserted.
+        n = 32768
+        rho = reduce_state(ground_state(ModelParams(n, 0.5, 0.9)), Bipartition(n, 1))
+        assert abs(rho.matrix.trace() - 1.0) <= TRACE_TOL
+        # Each weight is exp of a sum of log-binomials, so its relative error
+        # is a few ulp of log C(n, m): up to 5.4e-12, at m = 9267, here.
+        log_c = _log_binomials(n)
+        for m in range(n + 1):
+            total = sum(hypergeometric_weight(p, n, 1, m) for p in range(2))
+            tol = max(1e-12, 4 * np.spacing(log_c[m]))
+            assert abs(total - 1.0) <= tol, m
 
     def test_size_mismatch_raises(self):
         state = ground_state(ModelParams(8, 0.5, 0.7))
