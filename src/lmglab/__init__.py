@@ -16,14 +16,12 @@ from .analytic import (
     theta0,
 )
 from .fidelity import (
-    FailedPoint,
     FidelityError,
     SweepPoint,
     auto_delta,
     bures_distance_sq,
     fs_finite_difference,
     fs_spectral,
-    sweep,
     sweep_point,
     uhlmann_fidelity,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "CriticalPointError",
     "DickeGroundState",
     "EigensolverError",
-    "FailedPoint",
     "FidelityError",
     "IsotropicPointError",
     "ModelParams",
@@ -78,7 +75,6 @@ __all__ = [
     "loglog_slope",
     "mu",
     "reduce_state",
-    "sweep",
     "sweep_point",
     "theta0",
     "uhlmann_fidelity",

@@ -12,11 +12,18 @@ peak-scan  location and height of the chi_r peak per system size.
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numerical failure
 at one or more points (suppressed by --skip-errors).
 
-Configuration may come from a flat ``key=value`` file (--config); command
-line flags override config-file keys, which override built-in defaults.
-Grid points are independent and are dispatched to a process pool sized
-by --jobs; output rows are sorted by (N, h, tau, method) after
-collection, so the result is deterministic regardless of scheduling.
+Configuration may come from a flat ``key=value`` file (--config) whose
+keys are the long flag names.  Each key takes the flag given on the
+command line, else the config-file value, else the built-in default.  A
+grid given on the command line, as a list or as start/stop/count,
+replaces the config file's grid in either form.  --tau outside (0, 1]
+and --gamma outside [0, 1] are usage errors.
+
+All four subcommands evaluate the same kind of grid of independent
+points, dispatched to a process pool sized by --jobs; output rows are
+sorted by (N, h, tau, method) after collection, so the result is
+deterministic regardless of scheduling.  Each failed point is named on
+stderr.
 There is no randomness anywhere in the pipeline (--seedless is accepted
 and recorded for provenance, but runs are always seedless).
 """
@@ -31,7 +38,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,8 +75,12 @@ EXPONENT_POINTS = 10
 EXPONENT_FIT_N = 10**12
 
 
-class UsageError(ValueError):
-    """Bad flags, bad config values, or an unusable grid."""
+class UsageError(ValueError, argparse.ArgumentTypeError):
+    """Bad flags, bad config values, or an unusable grid.
+
+    Also an ArgumentTypeError, so that argparse reports a flag value that
+    an option's type rejects with this message.
+    """
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,20 +94,20 @@ class _Parser(argparse.ArgumentParser):
 @dataclass
 class SweepConfig:
     command: str
-    gamma: float = 0.5
-    tau: float = 0.5
-    m_sub: int | None = None
-    n_list: list[int] = field(default_factory=lambda: [64, 128, 256, 512])
-    h_values: list[float] = field(default_factory=list)
-    tau_values: list[float] = field(default_factory=list)
-    delta: float | None = None  # None means the automatic step
-    methods: list[str] = field(default_factory=lambda: ["finite-difference"])
-    out: str = "out"
-    formats: list[str] = field(default_factory=lambda: ["csv", "json"])
-    jobs: int = 1  # resolved to machine parallelism by config_from_args
-    skip_errors: bool = False
-    seedless: bool = False
-    check: bool = False
+    gamma: float
+    tau: float
+    m_sub: int | None
+    n_list: list[int]
+    h_values: list[float]
+    tau_values: list[float]  # sweep-tau only
+    delta: float | None  # None means the automatic step
+    methods: list[str]
+    out: str
+    formats: list[str]
+    jobs: int
+    skip_errors: bool
+    seedless: bool
+    check: bool  # peak-scan only
 
     def echo(self) -> dict:
         delta = "auto" if self.delta is None else self.delta
@@ -122,12 +133,16 @@ class SweepConfig:
         return echo
 
 
+def _split(text: str) -> list[str]:
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
 def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return [float(tok) for tok in _split(text)]
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return [int(tok) for tok in _split(text)]
 
 
 def _parse_bool(text: str) -> bool:
@@ -148,33 +163,53 @@ def _parse_delta(text: str) -> float | None:
     return value
 
 
-# Converters for config-file strings, keyed by destination name.
-_CONFIG_PARSERS = {
-    "gamma": float,
-    "tau": float,
-    "m": int,
-    "n": _parse_int_list,
-    "h_start": float,
-    "h_stop": float,
-    "h_count": int,
-    "h_list": _parse_float_list,
-    "tau_start": float,
-    "tau_stop": float,
-    "tau_count": int,
-    "tau_list": _parse_float_list,
-    "delta": _parse_delta,
-    "methods": lambda s: [tok.strip() for tok in s.split(",") if tok.strip()],
-    "out": str,
-    "formats": lambda s: [tok.strip() for tok in s.split(",") if tok.strip()],
-    "jobs": int,
-    "skip_errors": _parse_bool,
-    "seedless": _parse_bool,
-    "check": _parse_bool,
-}
+_SHARED = ("sweep-h", "sweep-tau", "compare", "peak-scan")
+_SWITCH = {"action": "store_const", "const": True}
+
+# Every flag, declared once: (subcommands, flag, argparse keywords).  The
+# config-file keys are the long flag names but --config; a key's value is
+# parsed by the flag's type, and a switch's by _parse_bool.
+_OPTIONS = (
+    (_SHARED, "--gamma", {"type": float, "help": "anisotropy in [0, 1]"}),
+    (_SHARED, "--tau", {"type": float, "help": "subsystem fraction M/N in (0, 1]"}),
+    (_SHARED, "--m", {"type": int, "help": "explicit subsystem size M (overrides --tau)"}),
+    (_SHARED, "--n", {"type": _parse_int_list, "action": "extend", "metavar": "N[,N...]",
+                      "help": "system size; repeatable or comma separated"}),
+    (_SHARED, "--h-start", {"type": float}),
+    (_SHARED, "--h-stop", {"type": float}),
+    (_SHARED, "--h-count", {"type": int}),
+    (_SHARED, "--h-list", {"type": _parse_float_list, "metavar": "H[,H...]",
+                           "help": "explicit h values (overrides --h-start/stop/count)"}),
+    (_SHARED, "--delta", {"type": _parse_delta,
+                          "help": "finite-difference step, or 'auto' for 1e-3*max(1,|h|)"}),
+    (_SHARED, "--methods", {"type": _split,
+                            "help": f"comma list from {{{','.join(ALL_METHODS)}}}"}),
+    (_SHARED, "--out", {"type": str, "help": "output directory"}),
+    (_SHARED, "--formats", {"type": _split,
+                            "help": f"comma list from {{{','.join(ALL_FORMATS)}}}"}),
+    (_SHARED, "--jobs", {"type": int,
+                         "help": "worker processes for the grid, at most one per core and "
+                                 "per task (default: machine parallelism)"}),
+    (_SHARED, "--skip-errors", {**_SWITCH,
+                                "help": "record failed points and exit 0 instead of 3"}),
+    (_SHARED, "--config", {"type": str,
+                           "help": "flat key=value config file; flags override it"}),
+    (_SHARED, "--seedless", {**_SWITCH,
+                             "help": "assert the deterministic, RNG-free run mode "
+                                     "(always on)"}),
+    (("sweep-tau",), "--tau-start", {"type": float}),
+    (("sweep-tau",), "--tau-stop", {"type": float}),
+    (("sweep-tau",), "--tau-count", {"type": int}),
+    (("sweep-tau",), "--tau-list", {"type": _parse_float_list, "metavar": "T[,T...]"}),
+    (("peak-scan",), "--check", {**_SWITCH, "help": "assert peak migration toward h=1 "
+                                                    "and growing height"}),
+)
 
 
 def read_config_file(path: str) -> dict:
     """Flat key=value file; '#' starts a comment, blank lines ignored."""
+    parsers = {flag[2:].replace("-", "_"): options.get("type", _parse_bool)
+               for _, flag, options in _OPTIONS if flag != "--config"}
     values = {}
     try:
         text = Path(path).read_text()
@@ -188,11 +223,11 @@ def read_config_file(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_PARSERS:
+        if key not in parsers:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = _CONFIG_PARSERS[key](value.strip())
-        except (ValueError, UsageError) as exc:
+            values[key] = parsers[key](value.strip())
+        except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
@@ -205,62 +240,14 @@ def build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=f"lmglab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_shared(p: _Parser) -> None:
-        p.add_argument("--gamma", type=float, default=None, help="anisotropy in [0, 1]")
-        p.add_argument("--tau", type=float, default=None, help="subsystem fraction M/N")
-        p.add_argument("--m", type=int, default=None, dest="m",
-                       help="explicit subsystem size M (overrides --tau)")
-        p.add_argument("--n", action="append", default=None, metavar="N[,N...]",
-                       help="system size; repeatable or comma separated")
-        p.add_argument("--h-start", type=float, default=None)
-        p.add_argument("--h-stop", type=float, default=None)
-        p.add_argument("--h-count", type=int, default=None)
-        p.add_argument("--h-list", type=str, default=None, metavar="H[,H...]",
-                       help="explicit h values (overrides --h-start/stop/count)")
-        p.add_argument("--delta", type=str, default=None,
-                       help="finite-difference step, or 'auto' for 1e-3*max(1,|h|)")
-        p.add_argument("--methods", type=str, default=None,
-                       help=f"comma list from {{{','.join(ALL_METHODS)}}}")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--formats", type=str, default=None,
-                       help=f"comma list from {{{','.join(ALL_FORMATS)}}}")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for the grid, at most one per core and "
-                            "per task (default: machine parallelism)")
-        p.add_argument("--skip-errors", action="store_const", const=True, default=None,
-                       help="record failed points and exit 0 instead of 3")
-        p.add_argument("--config", type=str, default=None,
-                       help="flat key=value config file; flags override it")
-        p.add_argument("--seedless", action="store_const", const=True, default=None,
-                       help="assert the deterministic, RNG-free run mode (always on)")
-
-    p_h = sub.add_parser("sweep-h", help="sweep the field h at fixed tau")
-    add_shared(p_h)
-
-    p_tau = sub.add_parser("sweep-tau", help="sweep tau at fixed h values")
-    add_shared(p_tau)
-    p_tau.add_argument("--tau-start", type=float, default=None)
-    p_tau.add_argument("--tau-stop", type=float, default=None)
-    p_tau.add_argument("--tau-count", type=int, default=None)
-    p_tau.add_argument("--tau-list", type=str, default=None, metavar="T[,T...]")
-
-    p_cmp = sub.add_parser("compare", help="numeric vs closed-form deviation report")
-    add_shared(p_cmp)
-
-    p_peak = sub.add_parser("peak-scan", help="chi_r peak location per system size")
-    add_shared(p_peak)
-    p_peak.add_argument("--check", action="store_const", const=True, default=None,
-                        help="assert peak migration toward h=1 and growing height")
+    for command, (help_text, _) in _COMMANDS.items():
+        # Flags left out stay out of the namespace, so that a config-file
+        # value is overridden only by a flag actually given.
+        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        for commands, flag, options in _OPTIONS:
+            if command in commands:
+                p.add_argument(flag, **options)
     return parser
-
-
-def _pick(cli_value, config: dict, key: str, default):
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        return config[key]
-    return default
 
 
 def _monotone(values: list[float], what: str) -> list[float]:
@@ -272,9 +259,10 @@ def _monotone(values: list[float], what: str) -> list[float]:
     return values
 
 
-def _grid_from_args(start, stop, count, explicit, what: str) -> list[float]:
-    if explicit is not None:
-        return _monotone(list(explicit), what)
+def _grid(values: dict, what: str) -> list[float]:
+    if f"{what}_list" in values:
+        return _monotone(list(values[f"{what}_list"]), what)
+    start, stop, count = (values.get(f"{what}_{end}") for end in ("start", "stop", "count"))
     if start is None or stop is None or count is None:
         raise UsageError(
             f"no {what} grid: give --{what}-list or --{what}-start/--{what}-stop/--{what}-count"
@@ -284,95 +272,82 @@ def _grid_from_args(start, stop, count, explicit, what: str) -> list[float]:
     return _monotone([float(x) for x in np.linspace(start, stop, count)], what)
 
 
+def _check_tau(values: list[float], what: str) -> None:
+    if any(not 0.0 < t <= 1.0 for t in values):
+        raise UsageError(f"{what} must lie in (0, 1]")
+
+
 def config_from_args(args: argparse.Namespace) -> SweepConfig:
-    file_values = read_config_file(args.config) if args.config else {}
+    """Merge per key: defaults, then the config file, then the flags given.
 
-    n_raw = args.n
-    if n_raw is not None:
-        n_list = []
-        for item in n_raw:
-            n_list.extend(_parse_int_list(item))
-    else:
-        n_list = _pick(None, file_values, "n", [64, 128, 256, 512])
-    if not n_list:
+    A grid given on the command line in either form, a list or
+    start/stop/count, replaces the config file's grid in either form.
+    """
+    given = vars(args)
+    command = given["command"]
+    file_values = read_config_file(given["config"]) if "config" in given else {}
+    for axis in ("h", "tau"):
+        if {f"{axis}_start", f"{axis}_stop", f"{axis}_count"} & given.keys():
+            file_values.pop(f"{axis}_list", None)
+    values = {
+        "gamma": 0.5,
+        "tau": 0.5,
+        "m": None,
+        "n": [64, 128, 256, 512],
+        "delta": None,
+        "methods": ["finite-difference", "analytic"] if command == "compare"
+                   else ["finite-difference"],
+        "out": "out",
+        "formats": ["csv", "json"],
+        "jobs": os.cpu_count() or 1,
+        "skip_errors": False,
+        "seedless": False,
+        "check": False,
+        **file_values,
+        **given,
+    }
+    config = SweepConfig(
+        command=command,
+        gamma=values["gamma"],
+        tau=values["tau"],
+        m_sub=values["m"],
+        n_list=values["n"],
+        h_values=_grid(values, "h"),
+        tau_values=_grid(values, "tau") if command == "sweep-tau" else [],
+        delta=values["delta"],
+        methods=values["methods"],
+        out=values["out"],
+        formats=values["formats"],
+        jobs=values["jobs"],
+        skip_errors=values["skip_errors"],
+        seedless=values["seedless"],
+        check=command == "peak-scan" and values["check"],
+    )
+
+    if not config.n_list:
         raise UsageError("empty system-size list")
-    if any(n < 2 for n in n_list):
-        raise UsageError(f"system sizes must be >= 2, got {n_list}")
-
-    h_list = _parse_float_list(args.h_list) if args.h_list is not None else None
-    h_values = _grid_from_args(
-        _pick(args.h_start, file_values, "h_start", None),
-        _pick(args.h_stop, file_values, "h_stop", None),
-        _pick(args.h_count, file_values, "h_count", None),
-        h_list if h_list is not None else file_values.get("h_list"),
-        "h",
-    )
-
-    delta = _parse_delta(args.delta) if args.delta is not None else file_values.get("delta")
-
-    methods_cli = (
-        [tok.strip() for tok in args.methods.split(",") if tok.strip()]
-        if args.methods is not None
-        else None
-    )
-    default_methods = (
-        ["finite-difference", "analytic"] if args.command == "compare"
-        else ["finite-difference"]
-    )
-    methods = _pick(methods_cli, file_values, "methods", default_methods)
-    for method in methods:
+    if any(n < 2 for n in config.n_list):
+        raise UsageError(f"system sizes must be >= 2, got {config.n_list}")
+    if not 0.0 <= config.gamma <= 1.0:
+        raise UsageError(f"--gamma must lie in [0, 1], got {config.gamma}")
+    _check_tau([config.tau], "--tau")
+    _check_tau(config.tau_values, "tau grid values")
+    for method in config.methods:
         if method not in ALL_METHODS:
             raise UsageError(f"unknown method {method!r}")
-    if not methods:
+    if not config.methods:
         raise UsageError("empty method list")
-
-    formats_cli = (
-        [tok.strip() for tok in args.formats.split(",") if tok.strip()]
-        if args.formats is not None
-        else None
-    )
-    formats = _pick(formats_cli, file_values, "formats", ["csv", "json"])
-    for fmt in formats:
+    for fmt in config.formats:
         if fmt not in ALL_FORMATS:
             raise UsageError(f"unknown format {fmt!r}")
-
-    config = SweepConfig(
-        command=args.command,
-        gamma=_pick(args.gamma, file_values, "gamma", 0.5),
-        tau=_pick(args.tau, file_values, "tau", 0.5),
-        m_sub=_pick(args.m, file_values, "m", None),
-        n_list=list(n_list),
-        h_values=h_values,
-        delta=delta,
-        methods=list(methods),
-        out=_pick(args.out, file_values, "out", "out"),
-        formats=list(formats),
-        jobs=_pick(args.jobs, file_values, "jobs", os.cpu_count() or 1),
-        skip_errors=bool(_pick(args.skip_errors, file_values, "skip_errors", False)),
-        seedless=bool(_pick(args.seedless, file_values, "seedless", False)),
-    )
     if config.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {config.jobs}")
-
-    if args.command == "sweep-tau":
-        tau_list = (
-            _parse_float_list(args.tau_list) if args.tau_list is not None
-            else file_values.get("tau_list")
-        )
-        config.tau_values = _grid_from_args(
-            _pick(args.tau_start, file_values, "tau_start", None),
-            _pick(args.tau_stop, file_values, "tau_stop", None),
-            _pick(args.tau_count, file_values, "tau_count", None),
-            tau_list,
-            "tau",
-        )
-        if any(not 0.0 < t <= 1.0 for t in config.tau_values):
-            raise UsageError("tau grid values must lie in (0, 1]")
-    if args.command == "peak-scan":
-        config.check = bool(_pick(args.check, file_values, "check", False))
+    if command == "peak-scan":
         if "analytic" in config.methods:
             raise UsageError("peak-scan works on numeric methods only")
-    if args.command == "compare":
+        if len(config.h_values) < 3:
+            raise UsageError("peak-scan needs at least 3 h grid points")
+    if command == "compare":
         if "analytic" not in config.methods or not any(
             m in NUMERIC_METHODS for m in config.methods
         ):
@@ -584,19 +559,49 @@ def _col(name: str) -> int:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _sweep_tasks(config: SweepConfig) -> tuple[list[tuple], list[str]]:
+def _tasks(config: SweepConfig) -> tuple[list[tuple], list[str]]:
+    """Grid points (n, gamma, h, m_sub, delta, methods), with M-rounding warnings.
+
+    sweep-tau takes M from each value of its tau grid; the other commands
+    from --m or --tau.  peak-scan evaluates its first numeric method only.
+    """
+    methods = tuple(config.methods)
+    if config.command == "peak-scan":
+        methods = (next(m for m in methods if m in NUMERIC_METHODS),)
+    if config.command == "sweep-tau":
+        taus, m_sub = config.tau_values, None
+    else:
+        taus, m_sub = [config.tau], config.m_sub
     tasks = []
     warnings_list = []
     for n in config.n_list:
-        m_sub, warning = _resolve_m_sub(n, config.tau, config.m_sub)
-        if warning:
-            warnings_list.append(warning)
-        for h in config.h_values:
-            tasks.append((n, config.gamma, h, m_sub, config.delta, tuple(config.methods)))
+        for tau in taus:
+            m, warning = _resolve_m_sub(n, tau, m_sub)
+            if warning:
+                warnings_list.append(warning)
+            for h in config.h_values:
+                tasks.append((n, config.gamma, h, m, config.delta, methods))
     return tasks, warnings_list
 
 
-def _finish_rows(config: SweepConfig, rows: list[dict], warnings_list: list[str],
+def _report(config: SweepConfig, rows: list[dict], warnings_list: list[str],
+            files: list[Path]) -> int:
+    """Print the warnings, the files written and each failed point; the exit code."""
+    for w in warnings_list:
+        print(f"warning: {w}", file=sys.stderr)
+    for f in files:
+        print(f"wrote {f}")
+    bad = [row for row in rows if row["status"] != "ok"]
+    for row in bad:
+        print(
+            f"point N={row['N']} h={row['h']} tau={row['tau']:.6g} "
+            f"[{row['method']}]: {row['status']}",
+            file=sys.stderr,
+        )
+    return EXIT_NUMERICAL if bad and not config.skip_errors else EXIT_OK
+
+
+def _write_sweep(config: SweepConfig, rows: list[dict], warnings_list: list[str],
                  stem: str, plots: list[tuple]) -> int:
     out = _prepare_outdir(config)
     files = []
@@ -614,50 +619,24 @@ def _finish_rows(config: SweepConfig, rows: list[dict], warnings_list: list[str]
             write_plotscript(gp_path, f"{stem}.csv", rows, x_col, y_col,
                              x_label, y_label, logscale)
             files.append(gp_path)
-    for w in warnings_list:
-        print(f"warning: {w}", file=sys.stderr)
-    for f in files:
-        print(f"wrote {f}")
-    bad = [row for row in rows if row["status"] != "ok"]
-    if bad:
-        for row in bad:
-            print(
-                f"point N={row['N']} h={row['h']} tau={row['tau']:.6g} "
-                f"[{row['method']}]: {row['status']}",
-                file=sys.stderr,
-            )
-        if not config.skip_errors:
-            return EXIT_NUMERICAL
-    return EXIT_OK
+    return _report(config, rows, warnings_list, files)
 
 
-def cmd_sweep_h(config: SweepConfig) -> int:
-    tasks, warnings_list = _sweep_tasks(config)
-    rows = _run_tasks(tasks, config.jobs)
+def cmd_sweep_h(config: SweepConfig, rows: list[dict], warnings_list: list[str]) -> int:
     plots = [
         ("chi_r", _col("h"), _col("chi_r"), "h", "chi_r", True),
         ("eta", _col("h"), _col("eta"), "h", "eta", False),
         ("entropy", _col("h"), _col("entropy"), "h", "entropy", False),
     ]
-    return _finish_rows(config, rows, warnings_list, "sweep_h", plots)
+    return _write_sweep(config, rows, warnings_list, "sweep_h", plots)
 
 
-def cmd_sweep_tau(config: SweepConfig) -> int:
-    tasks = []
-    warnings_list = []
-    for n in config.n_list:
-        for tau in config.tau_values:
-            m_sub, warning = _resolve_m_sub(n, tau, None)
-            if warning:
-                warnings_list.append(warning)
-            for h in config.h_values:
-                tasks.append((n, config.gamma, h, m_sub, config.delta, tuple(config.methods)))
-    rows = _run_tasks(tasks, config.jobs)
+def cmd_sweep_tau(config: SweepConfig, rows: list[dict], warnings_list: list[str]) -> int:
     plots = [
         ("eta", _col("tau"), _col("eta"), "tau", "eta", False),
         ("entropy", _col("tau"), _col("entropy"), "tau", "entropy", False),
     ]
-    return _finish_rows(config, rows, warnings_list, "sweep_tau", plots)
+    return _write_sweep(config, rows, warnings_list, "sweep_tau", plots)
 
 
 def _relative_deviation(numeric: float, reference: float) -> float:
@@ -683,10 +662,7 @@ def _exponent_fits(gamma: float, tau: float) -> dict:
     }
 
 
-def cmd_compare(config: SweepConfig) -> int:
-    tasks, warnings_list = _sweep_tasks(config)
-    rows = _run_tasks(tasks, config.jobs)
-
+def cmd_compare(config: SweepConfig, rows: list[dict], warnings_list: list[str]) -> int:
     by_key: dict[tuple, dict] = {}
     for row in rows:
         by_key.setdefault((row["N"], row["h"]), {})[row["method"]] = row
@@ -783,21 +759,7 @@ def cmd_compare(config: SweepConfig) -> int:
         warnings_list,
         extra={"deviations": table, "summary": summary, "exponent_fits": fits},
     )
-    print(f"wrote {out / 'compare.txt'}")
-    print(f"wrote {out / 'compare.json'}")
-
-    for w in warnings_list:
-        print(f"warning: {w}", file=sys.stderr)
-    bad = [e for e in table if e["status"] != "ok"]
-    if bad:
-        for entry in bad:
-            print(
-                f"point N={entry['N']} h={entry['h']}: {entry['status']}",
-                file=sys.stderr,
-            )
-        if not config.skip_errors:
-            return EXIT_NUMERICAL
-    return EXIT_OK
+    return _report(config, rows, warnings_list, [out / "compare.txt", out / "compare.json"])
 
 
 PEAK_COLUMNS = ("N", "tau", "h_peak", "chi_r_peak", "h_grid_max", "chi_r_grid_max",
@@ -810,22 +772,8 @@ def _parabolic_vertex(h3: np.ndarray, y3: np.ndarray) -> tuple[float, float]:
     return float(vertex), float(np.polyval([a, b, c], vertex))
 
 
-def cmd_peak_scan(config: SweepConfig) -> int:
-    if len(config.h_values) < 3:
-        raise UsageError("peak-scan needs at least 3 h grid points")
-    method = next(m for m in config.methods if m in NUMERIC_METHODS)
-    tasks = []
-    warnings_list = []
-    for n in config.n_list:
-        m_sub, warning = _resolve_m_sub(n, config.tau, config.m_sub)
-        if warning:
-            warnings_list.append(warning)
-        for h in config.h_values:
-            tasks.append((n, config.gamma, h, m_sub, config.delta, (method,)))
-    rows = _run_tasks(tasks, config.jobs)
-
+def cmd_peak_scan(config: SweepConfig, rows: list[dict], warnings_list: list[str]) -> int:
     peak_rows = []
-    had_failure = False
     hs = np.array(sorted(config.h_values))
     for n in sorted(config.n_list):
         n_rows = sorted((r for r in rows if r["N"] == n), key=lambda r: r["h"])
@@ -843,7 +791,6 @@ def cmd_peak_scan(config: SweepConfig) -> int:
         }
         if any(s != "ok" for s in statuses):
             entry["status"] = next(s for s in statuses if s != "ok")
-            had_failure = True
             peak_rows.append(entry)
             continue
         imax = int(np.argmax(chis))
@@ -865,27 +812,21 @@ def cmd_peak_scan(config: SweepConfig) -> int:
     out = _prepare_outdir(config)
     write_csv(out / "peaks.csv", peak_rows, config, warnings_list, columns=PEAK_COLUMNS)
     write_json(out / "peaks.json", peak_rows, config, warnings_list)
-    print(f"wrote {out / 'peaks.csv'}")
-    print(f"wrote {out / 'peaks.json'}")
-    for w in warnings_list:
-        print(f"warning: {w}", file=sys.stderr)
-
-    if had_failure and not config.skip_errors:
+    status = _report(config, rows, warnings_list, [out / "peaks.csv", out / "peaks.json"])
+    if status != EXIT_OK or not config.check or len(peak_rows) < 2:
+        return status
+    ok_rows = [r for r in peak_rows if r["status"] == "ok"]
+    distances = [abs(r["h_peak"] - 1.0) for r in ok_rows]
+    heights = [r["chi_r_peak"] for r in ok_rows]
+    if any(b >= a for a, b in zip(distances, distances[1:])):
+        print(f"peak-migration check failed: |h*-1| not strictly decreasing: "
+              f"{distances}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-    if config.check and len(peak_rows) > 1:
-        ok_rows = [r for r in peak_rows if r["status"] == "ok"]
-        distances = [abs(r["h_peak"] - 1.0) for r in ok_rows]
-        heights = [r["chi_r_peak"] for r in ok_rows]
-        if any(b >= a for a, b in zip(distances, distances[1:])):
-            print(f"peak-migration check failed: |h*-1| not strictly decreasing: "
-                  f"{distances}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        if any(b <= a for a, b in zip(heights, heights[1:])):
-            print(f"peak-height check failed: heights not strictly increasing: "
-                  f"{heights}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        print("peak checks passed: |h*-1| decreasing, heights increasing")
+    if any(b <= a for a, b in zip(heights, heights[1:])):
+        print(f"peak-height check failed: heights not strictly increasing: "
+              f"{heights}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    print("peak checks passed: |h*-1| decreasing, heights increasing")
     return EXIT_OK
 
 
@@ -894,10 +835,10 @@ def cmd_peak_scan(config: SweepConfig) -> int:
 # ---------------------------------------------------------------------------
 
 _COMMANDS = {
-    "sweep-h": cmd_sweep_h,
-    "sweep-tau": cmd_sweep_tau,
-    "compare": cmd_compare,
-    "peak-scan": cmd_peak_scan,
+    "sweep-h": ("sweep the field h at fixed tau", cmd_sweep_h),
+    "sweep-tau": ("sweep tau at fixed h values", cmd_sweep_tau),
+    "compare": ("numeric vs closed-form deviation report", cmd_compare),
+    "peak-scan": ("chi_r peak location per system size", cmd_peak_scan),
 }
 
 
@@ -909,11 +850,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         config = config_from_args(args)
-    except UsageError as exc:
-        print(f"lmglab: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](config)
+        tasks, warnings_list = _tasks(config)
+        rows = _run_tasks(tasks, config.jobs)
+        return _COMMANDS[config.command][1](config, rows, warnings_list)
     except UsageError as exc:
         print(f"lmglab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,19 +17,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .model import DickeGroundState, EigensolverError, ModelParams, ground_state
-from .reduced import (
-    PSD_FLOOR,
-    Bipartition,
-    ReducedDensity,
-    ReducedDensityError,
-    reduce_state,
-    von_neumann_entropy,
-)
+from .model import DickeGroundState, ModelParams, ground_state
+from .reduced import Bipartition, ReducedDensity, reduce_state, von_neumann_entropy
 
 # Pairs closer than this in eigenvalue are skipped in the spectral sum;
 # their Bures weight vanishes quadratically, so skipping is exact to
@@ -67,32 +60,7 @@ class SweepPoint:
     method: str
 
 
-@dataclass(frozen=True)
-class FailedPoint:
-    """Placeholder recorded when a sweep point fails and errors are skipped."""
-
-    h: float
-    method: str
-    error: str
-
-
-def _psd_eigh(state) -> tuple[np.ndarray, np.ndarray, int]:
-    if isinstance(state, ReducedDensity):
-        return state.eigenvalues, state.eigenvectors, state.matrix.shape[0]
-    mat = np.asarray(state, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-    w, v = np.linalg.eigh(mat)
-    if w[0] < PSD_FLOOR:
-        raise ReducedDensityError(f"min eigenvalue {w[0]:.3e} below floor")
-    return np.clip(w, 0.0, None), v, mat.shape[0]
-
-
-def _as_matrix(state) -> np.ndarray:
-    return state.matrix if isinstance(state, ReducedDensity) else np.asarray(state, float)
-
-
-def uhlmann_fidelity(rho, sigma) -> float:
+def uhlmann_fidelity(rho: ReducedDensity, sigma: ReducedDensity) -> float:
     """Mixed-state fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)).
 
     The square roots of the eigenvalues of sqrt(rho) sigma sqrt(rho) are
@@ -103,12 +71,13 @@ def uhlmann_fidelity(rho, sigma) -> float:
     1 - F ~ chi*delta^2/2 signal under ~1e-8 noise per mode.  Singular
     values are nonnegative by construction (the clamp at zero is built
     in); the result is clipped into [0, 1].  Symmetric in its arguments
-    to ~1e-10.  Accepts ReducedDensity or plain arrays.
+    to ~1e-10.  Both arguments are ReducedDensity, whose cached
+    eigendecomposition enforces the PSD floor and clamps at zero.
     """
-    w_r, v_r, dim = _psd_eigh(rho)
-    w_s, v_s, dim_s = _psd_eigh(sigma)
-    if dim != dim_s:
-        raise ValueError(f"dimension mismatch: {dim} vs {dim_s}")
+    w_r, v_r = rho.eigenvalues, rho.eigenvectors
+    w_s, v_s = sigma.eigenvalues, sigma.eigenvectors
+    if len(w_r) != len(w_s):
+        raise ValueError(f"dimension mismatch: {len(w_r)} vs {len(w_s)}")
     # sqrt(rho) sqrt(sigma) = v_r [sqrt(w_r) (v_r^T v_s) sqrt(w_s)] v_s^T;
     # the orthogonal outer factors do not change singular values.
     core = np.sqrt(w_r)[:, None] * (v_r.T @ v_s) * np.sqrt(w_s)[None, :]
@@ -116,7 +85,7 @@ def uhlmann_fidelity(rho, sigma) -> float:
     return min(max(fid, 0.0), 1.0)
 
 
-def bures_distance_sq(rho, sigma) -> float:
+def bures_distance_sq(rho: ReducedDensity, sigma: ReducedDensity) -> float:
     """Squared Bures distance 2 [1 - F(rho, sigma)]."""
     return 2.0 * (1.0 - uhlmann_fidelity(rho, sigma))
 
@@ -127,7 +96,7 @@ def fs_finite_difference(
     """Susceptibility from the fidelity of states a step delta apart.
 
     ``value_at`` maps a field value to either a pure-state coefficient
-    vector (fidelity is then the absolute overlap) or a density matrix.
+    vector (fidelity is then the absolute overlap) or a ReducedDensity.
     The stencil is symmetric, h +- delta/2, except at the domain boundary
     h = 0 where it degrades to the one-sided pair (0, delta).
     """
@@ -294,43 +263,3 @@ def _check_point(point: SweepPoint) -> None:
             f"eta = {point.eta} outside [0, 1 + {ETA_SLACK}]", point.h, point.delta
         )
 
-
-def sweep(
-    params_grid: Sequence[ModelParams],
-    part: Bipartition,
-    delta: float | None = None,
-    method: str = "finite-difference",
-    skip_errors: bool = False,
-    probe: bool | None = None,
-) -> list[SweepPoint | FailedPoint]:
-    """Evaluate :func:`sweep_point` over a monotone h grid.
-
-    Points are independent and computed in order; a failing point aborts
-    the sweep unless ``skip_errors`` is set, in which case a
-    :class:`FailedPoint` records it and the sweep continues.
-    """
-    grid = list(params_grid)
-    if not grid:
-        raise ValueError("empty parameter grid")
-    if any(p.n != part.n for p in grid):
-        raise ValueError("all grid points must share the bipartition's n")
-    if len({p.gamma for p in grid}) > 1:
-        raise ValueError("all grid points must share gamma")
-    hs = [p.h for p in grid]
-    diffs = np.diff(hs)
-    if len(hs) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
-        raise ValueError("h grid must be strictly monotone")
-
-    results: list[SweepPoint | FailedPoint] = []
-    for params in grid:
-        try:
-            results.append(sweep_point(params, part, delta, method, probe))
-        except (EigensolverError, ReducedDensityError, FidelityError, ValueError) as exc:
-            if not skip_errors:
-                raise FidelityError(
-                    f"sweep failed at h={params.h}: {exc}",
-                    params.h,
-                    -1.0 if delta is None else delta,
-                ) from exc
-            results.append(FailedPoint(h=params.h, method=method, error=str(exc)))
-    return results

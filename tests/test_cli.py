@@ -315,3 +315,247 @@ def test_help_exits_zero():
     proc = run_cli("--help")
     assert proc.returncode == 0
     assert "sweep-h" in proc.stdout
+
+
+def config_echo(path: Path) -> str:
+    return next(l for l in path.read_text().splitlines() if l.startswith("# config:"))
+
+
+def write_config(tmp_path, text: str) -> Path:
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return cfg
+
+
+# The keys all four subcommands share, but for methods, skip-errors and out,
+# which each test sets itself.
+SHARED_KEYS = (
+    "gamma = 0.5\n"
+    "tau = 0.4\n"
+    "m = 8\n"
+    "n = 16,32\n"
+    "h-start = 0.1\n"
+    "h-stop = 0.2\n"
+    "h-count = 2\n"
+    "h-list = 0.6,0.7,0.8,0.9,1.0,1.1,1.2\n"
+    "delta = 0.002\n"
+    "formats = csv\n"
+    "jobs = 1\n"
+    "seedless = yes\n"
+)
+
+
+class TestConfigFile:
+    """Keys are the long flag names; every one a subcommand accepts is honored."""
+
+    def test_sweep_h_every_key(self, tmp_path):
+        cfg = write_config(tmp_path, SHARED_KEYS + "methods = finite-difference\n"
+                           "skip-errors = on\n" f"out = {tmp_path / 'o'}\n")
+        proc = run_cli("sweep-h", "--config", str(cfg), check=True)
+        assert proc.stdout == f"wrote {tmp_path / 'o' / 'sweep_h.csv'}\n"
+        rows = read_rows(tmp_path / "o" / "sweep_h.csv")
+        # An h-list beats h-start/stop/count from the same source; --m beats tau.
+        assert {(int(r["N"]), float(r["h"])) for r in rows} == {
+            (n, h) for n in (16, 32) for h in (0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2)
+        }
+        assert {float(r["tau"]) for r in rows} == {0.5, 0.25}
+        assert {float(r["delta"]) for r in rows} == {0.002}
+        echo = config_echo(tmp_path / "o" / "sweep_h.csv")
+        for item in ("gamma=0.5", "tau=0.4", "m=8", "n=16,32", "delta=0.002",
+                     "formats=csv", "skip_errors=True", "seedless=True"):
+            assert f" {item}" in echo
+
+    def test_sweep_tau_every_key(self, tmp_path):
+        cfg = write_config(tmp_path, SHARED_KEYS + "methods = finite-difference\n"
+                           "skip-errors = off\n" f"out = {tmp_path / 'o'}\n"
+                           "tau-start = 0.1\n" "tau-stop = 0.3\n" "tau-count = 3\n"
+                           "tau-list = 0.5,1.0\n")
+        run_cli("sweep-tau", "--config", str(cfg), check=True)
+        rows = read_rows(tmp_path / "o" / "sweep_tau.csv")
+        # sweep-tau takes M from its tau grid, never from m.
+        assert {(int(r["N"]), float(r["tau"])) for r in rows} == {
+            (n, t) for n in (16, 32) for t in (0.5, 1.0)
+        }
+        assert {r["method"] for r in rows} == {"finite-difference"}
+        assert len(rows) == 2 * 2 * 7
+        echo = config_echo(tmp_path / "o" / "sweep_tau.csv")
+        assert " tau_values=0.5,1.0" in echo and " skip_errors=False" in echo
+
+    def test_compare_every_key(self, tmp_path):
+        cfg = write_config(tmp_path, SHARED_KEYS +
+                           "methods = finite-difference,analytic\n"
+                           "skip-errors = 1\n" f"out = {tmp_path / 'o'}\n")
+        run_cli("compare", "--config", str(cfg), check=True)
+        report = json.loads((tmp_path / "o" / "compare.json").read_text())
+        assert report["config"]["m"] == 8 and report["config"]["skip_errors"] is True
+        assert report["config"]["h_values"] == "0.6,0.7,0.8,0.9,1.0,1.1,1.2"
+        assert len(report["deviations"]) == 2 * 7
+        assert (tmp_path / "o" / "compare.txt").exists()
+
+    def test_peak_scan_every_key(self, tmp_path):
+        cfg = write_config(tmp_path, SHARED_KEYS.replace("delta = 0.002", "delta = auto") +
+                           "methods = finite-difference\n" "skip-errors = 0\n"
+                           f"out = {tmp_path / 'o'}\n" "check = yes\n")
+        proc = run_cli("peak-scan", "--config", str(cfg), check=True)
+        assert "peak checks passed" in proc.stdout
+        rows = read_rows(tmp_path / "o" / "peaks.csv")
+        assert [int(r["N"]) for r in rows] == [16, 32]
+        assert [float(r["tau"]) for r in rows] == [0.5, 0.25]
+        echo = config_echo(tmp_path / "o" / "peaks.csv")
+        assert " check=True" in echo and " delta=auto" in echo
+
+    def test_keys_of_other_subcommands_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, "n = 8\n" "h-list = 0.5\n" "check = yes\n"
+                           "tau_start = 0.1\n" "tau-list = 0.5\n" f"out = {tmp_path}\n")
+        run_cli("sweep-h", "--config", str(cfg), check=True)
+        echo = config_echo(tmp_path / "sweep_h.csv")
+        assert "check=" not in echo and "tau_values=" not in echo
+
+    @pytest.mark.parametrize("spelling, value", [
+        ("yes", True), ("no", False), ("on", True), ("off", False),
+        ("1", True), ("0", False), ("True", True), ("FALSE", False),
+    ])
+    def test_bool_spellings(self, tmp_path, spelling, value):
+        cfg = write_config(tmp_path, "n = 8\n" "h-list = 0.5\n" f"seedless = {spelling}\n"
+                           f"skip-errors = {spelling}\n" f"out = {tmp_path}\n")
+        run_cli("sweep-h", "--config", str(cfg), check=True)
+        echo = config_echo(tmp_path / "sweep_h.csv")
+        assert f" seedless={value}" in echo and f" skip_errors={value}" in echo
+
+    def test_delta_auto(self, tmp_path):
+        cfg = write_config(tmp_path, "n = 8\n" "h-list = 0.5,2.0\n" "delta = auto\n"
+                           f"out = {tmp_path}\n")
+        run_cli("sweep-h", "--config", str(cfg), "--delta", "0.01", check=True)
+        assert {float(r["delta"]) for r in read_rows(tmp_path / "sweep_h.csv")} == {0.01}
+        run_cli("sweep-h", "--config", str(cfg), check=True)
+        rows = read_rows(tmp_path / "sweep_h.csv")
+        assert [float(r["delta"]) for r in rows] == [1e-3, 2e-3]
+        assert " delta=auto" in config_echo(tmp_path / "sweep_h.csv")
+
+    def test_unknown_key_names_line(self, tmp_path):
+        cfg = write_config(tmp_path, "n = 8\n" "# comment\n" "h-lst = 0.5\n")
+        proc = run_cli("sweep-h", "--config", str(cfg), "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert f"{cfg}:3" in proc.stderr and "h_lst" in proc.stderr
+
+    @pytest.mark.parametrize("line", ["delta = -1", "n = x", "skip-errors = maybe",
+                                      "h-count = 2.5", "no equals sign"])
+    def test_bad_value_usage_error(self, tmp_path, line):
+        cfg = write_config(tmp_path, "h-list = 0.5\n" f"{line}\n")
+        proc = run_cli("sweep-h", "--config", str(cfg), "--n", "8",
+                       "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert f"{cfg}:2" in proc.stderr
+        assert not (tmp_path / "sweep_h.csv").exists()
+
+    def test_missing_config_file_usage_error(self, tmp_path):
+        proc = run_cli("sweep-h", "--config", str(tmp_path / "absent.cfg"),
+                       "--out", str(tmp_path))
+        assert proc.returncode == 1
+
+    def test_repeated_n_concatenates(self, tmp_path):
+        run_cli("sweep-h", "--n", "8", "--n", "16,32", "--h-list", "0.5",
+                "--methods", "analytic", "--out", str(tmp_path), check=True)
+        assert [int(r["N"]) for r in read_rows(tmp_path / "sweep_h.csv")] == [8, 16, 32]
+        assert " n=8,16,32" in config_echo(tmp_path / "sweep_h.csv")
+
+
+class TestCommandLineGridBeatsConfig:
+    """A grid on the command line replaces the config file's grid in either form."""
+
+    def test_h_range_flags_replace_config_h_list(self, tmp_path):
+        cfg = write_config(tmp_path, "n = 8\n" "h-list = 0.5,0.7\n" "methods = analytic\n")
+        run_cli("sweep-h", "--config", str(cfg), "--h-start", "0.2", "--h-stop", "0.4",
+                "--h-count", "3", "--out", str(tmp_path), check=True)
+        hs = [float(r["h"]) for r in read_rows(tmp_path / "sweep_h.csv")]
+        assert hs == pytest.approx([0.2, 0.3, 0.4], rel=1e-12)
+
+    def test_h_list_flag_replaces_config_h_range(self, tmp_path):
+        cfg = write_config(tmp_path, "n = 8\n" "h-start = 0.2\n" "h-stop = 0.4\n"
+                           "h-count = 3\n" "methods = analytic\n")
+        run_cli("sweep-h", "--config", str(cfg), "--h-list", "0.9",
+                "--out", str(tmp_path), check=True)
+        assert [float(r["h"]) for r in read_rows(tmp_path / "sweep_h.csv")] == [0.9]
+
+    def test_tau_range_flags_replace_config_tau_list(self, tmp_path):
+        cfg = write_config(tmp_path, "n = 8\n" "h-list = 0.5\n" "tau-list = 0.5\n")
+        run_cli("sweep-tau", "--config", str(cfg), "--tau-start", "0.25",
+                "--tau-stop", "0.75", "--tau-count", "3", "--out", str(tmp_path),
+                check=True)
+        taus = [float(r["tau"]) for r in read_rows(tmp_path / "sweep_tau.csv")]
+        assert taus == [0.25, 0.5, 0.75]
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("flag, value", [
+        ("--tau", "-1"), ("--tau", "0"), ("--tau", "1.5"), ("--tau", "nan"),
+        ("--gamma", "2"), ("--gamma", "-0.1"),
+    ])
+    def test_out_of_range_flag_usage_error(self, tmp_path, flag, value):
+        proc = run_cli("sweep-h", "--n", "8", "--h-list", "0.5", flag, value,
+                       "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert flag.lstrip("-") in proc.stderr
+        assert not (tmp_path / "sweep_h.csv").exists()
+
+    def test_out_of_range_config_value_usage_error(self, tmp_path):
+        cfg = write_config(tmp_path, "n = 8\n" "h-list = 0.5\n" "tau = -1\n")
+        proc = run_cli("sweep-h", "--config", str(cfg), "--out", str(tmp_path))
+        assert proc.returncode == 1
+
+    @pytest.mark.parametrize("grid", [("--h-list", "0.5,1.5,1.0"),
+                                      ("--tau-list", "0.5,0.25,0.75")])
+    def test_non_monotone_grid_usage_error(self, tmp_path, grid):
+        proc = run_cli("sweep-tau", "--n", "8", "--h-list", "0.5", "--tau-list", "0.5",
+                       *grid, "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert "grid must be strictly monotone" in proc.stderr
+
+    def test_tau_grid_range_error(self, tmp_path):
+        proc = run_cli("sweep-tau", "--n", "8", "--h-list", "0.5", "--tau-list", "-1",
+                       "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert "tau grid values must lie in (0, 1]" in proc.stderr
+
+    def test_isotropic_gamma_accepted(self, tmp_path):
+        # gamma = 1 is in range; its points fail numerically, not as usage.
+        proc = run_cli("sweep-h", "--n", "8", "--h-list", "0.5", "--gamma", "1",
+                       "--tau", "1", "--out", str(tmp_path))
+        assert proc.returncode == 3
+        assert read_rows(tmp_path / "sweep_h.csv")[0]["status"].startswith('"failed:')
+
+
+def test_peak_scan_failure_named_on_stderr(tmp_path):
+    proc = run_cli("peak-scan", "--n", "16", "--gamma", "1", "--h-start", "0.6",
+                   "--h-stop", "1.2", "--h-count", "13", "--out", str(tmp_path))
+    assert proc.returncode == 3
+    assert read_rows(tmp_path / "peaks.csv")[0]["status"].startswith('"failed:')
+    assert "point N=16 h=0.6 tau=0.5 [finite-difference]: failed:" in proc.stderr
+
+
+def strip_timestamps(text: str) -> str:
+    return "\n".join(
+        line for line in text.splitlines()
+        if not line.startswith("# timestamp:") and '"timestamp":' not in line
+    )
+
+
+@pytest.mark.parametrize("args, files", [
+    (("sweep-tau", "--n", "16,8", "--h-list", "1.1,0.7", "--tau-list", "0.25,0.5",
+      "--methods", "finite-difference,spectral", "--formats", "csv,json,plotscript"),
+     ("sweep_tau.csv", "sweep_tau.json", "sweep_tau_eta.gp", "sweep_tau_entropy.gp")),
+    (("compare", "--n", "16,8", "--h-list", "1.5,1.0,0.9", "--skip-errors"),
+     ("compare.json", "compare.txt")),
+    (("peak-scan", "--n", "24,16", "--h-start", "0.6", "--h-stop", "1.2",
+      "--h-count", "13", "--methods", "spectral,finite-difference"),
+     ("peaks.csv", "peaks.json")),
+])
+def test_outputs_identical_across_jobs(tmp_path, args, files):
+    one = run_cli(*args, "--out", str(tmp_path / "a"), "--jobs", "1", check=True)
+    two = run_cli(*args, "--out", str(tmp_path / "b"), "--jobs", "2", check=True)
+    assert one.stdout.replace(str(tmp_path / "a"), "") == \
+        two.stdout.replace(str(tmp_path / "b"), "")
+    for name in files:
+        a = strip_timestamps((tmp_path / "a" / name).read_text())
+        b = strip_timestamps((tmp_path / "b" / name).read_text())
+        assert a == b, name

@@ -7,14 +7,12 @@ import pytest
 import lmglab.fidelity
 from lmglab.fidelity import (
     DeltaProbeWarning,
-    FailedPoint,
     FidelityError,
     SweepPoint,
     auto_delta,
     bures_distance_sq,
     fs_finite_difference,
     fs_spectral,
-    sweep,
     sweep_point,
     uhlmann_fidelity,
 )
@@ -168,9 +166,12 @@ class TestFsSpectral:
 
 
 class TestSweep:
+    """sweep_point over a grid of fields, one call per point."""
+
     def test_points_and_invariants(self):
-        grid = [ModelParams(32, 0.5, h) for h in (0.6, 0.9, 1.2)]
-        points = sweep(grid, Bipartition(32, 16), probe=False)
+        part = Bipartition(32, 16)
+        points = [sweep_point(ModelParams(32, 0.5, h), part, probe=False)
+                  for h in (0.6, 0.9, 1.2)]
         assert [p.h for p in points] == [0.6, 0.9, 1.2]
         for p in points:
             assert isinstance(p, SweepPoint)
@@ -180,28 +181,14 @@ class TestSweep:
             assert p.method == "finite-difference"
 
     def test_auto_delta_recorded(self):
-        points = sweep([ModelParams(24, 0.5, 2.0)], Bipartition(24, 12), probe=False)
-        assert points[0].delta == pytest.approx(2e-3)
+        point = sweep_point(ModelParams(24, 0.5, 2.0), Bipartition(24, 12), probe=False)
+        assert point.delta == pytest.approx(2e-3)
 
-    def test_non_monotone_grid_rejected(self):
-        grid = [ModelParams(16, 0.5, h) for h in (0.5, 1.5, 1.0)]
-        with pytest.raises(ValueError):
-            sweep(grid, Bipartition(16, 8))
-
-    def test_mixed_gamma_rejected(self):
-        grid = [ModelParams(16, 0.5, 0.5), ModelParams(16, 0.6, 0.7)]
-        with pytest.raises(ValueError):
-            sweep(grid, Bipartition(16, 8))
-
-    def test_skip_errors_records_failed_points(self):
+    def test_zero_chi_g_point_raises(self):
         # gamma=1, h=0 makes chi_g exactly zero (S_z is conserved, the
         # polarized tower is h-independent), so eta is undefined there.
-        grid = [ModelParams(16, 1.0, h) for h in (0.0, 2.0)]
         with pytest.raises(FidelityError):
-            sweep(grid, Bipartition(16, 8), probe=False)
-        results = sweep(grid, Bipartition(16, 8), skip_errors=True, probe=False)
-        assert isinstance(results[0], FailedPoint)
-        assert results[0].h == 0.0
+            sweep_point(ModelParams(16, 1.0, 0.0), Bipartition(16, 8), probe=False)
 
     def test_probe_warns_when_step_too_coarse(self):
         with pytest.warns(DeltaProbeWarning):
@@ -212,9 +199,9 @@ class TestSweep:
         hs = np.linspace(0.7, 1.1, 21)
         peaks = {}
         for n in (32, 64):
-            grid = [ModelParams(n, 0.5, float(h)) for h in hs]
-            points = sweep(grid, Bipartition(n, n // 2), probe=False)
-            chis = np.array([p.chi_r for p in points])
+            part = Bipartition(n, n // 2)
+            chis = np.array([sweep_point(ModelParams(n, 0.5, float(h)), part,
+                                         probe=False).chi_r for h in hs])
             peaks[n] = (hs[int(np.argmax(chis))], chis.max())
         assert abs(peaks[64][0] - 1.0) < abs(peaks[32][0] - 1.0)
         assert peaks[64][1] > peaks[32][1]
