@@ -5,7 +5,9 @@ extensive N-dependence; no diagonalization is involved.  The reduced
 state of a subsystem fraction tau is controlled by three parameters: a
 phase-dependent ratio alpha, the Green's functions G^{++} and G^{--} of
 the collective bosonic mode, and the correlation parameter mu >= 1 that
-sets the thermal-like spectrum of the reduced density matrix.
+sets the thermal-like spectrum of the reduced density matrix.  All three
+are elementary functions of h, so the susceptibilities take their
+h-derivatives exactly, by the chain rule; no step size is involved.
 
 Both the global and reduced susceptibilities diverge at the critical
 point h = 1; evaluations inside a small guard window around it raise
@@ -25,13 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 CRITICAL_GUARD = 1e-6
-DERIVATIVE_STEP = 1e-6
-# tau = 1 makes the (mu^2 - 1) denominator vanish; the reduced
-# susceptibility is then evaluated at this offset below 1 instead.
-TAU_ONE_OFFSET = 1e-6
-# Below this mu^2 - 1 the (d_h mu)^2 / (4 (mu^2 - 1)) term is evaluated
-# through its alpha -> 1 limit instead of the raw 0/0 quotient.
-MU_ONE_FLOOR = 1e-10
 
 
 class CriticalPointError(ValueError):
@@ -70,16 +65,16 @@ def theta0(h: float) -> float:
     return math.acos(h) if h <= 1.0 else 0.0
 
 
-def _check_point_args(h: float, gamma: float, guard: float = CRITICAL_GUARD) -> None:
+def _check_point_args(h: float, gamma: float) -> None:
     if h < 0.0:
         raise ValueError(f"field must be >= 0, got {h}")
     if not (0.0 <= gamma < 1.0):
         if gamma == 1.0:
             raise IsotropicPointError("gamma = 1 is singular for the closed forms")
         raise ValueError(f"anisotropy must lie in [0, 1), got {gamma}")
-    if abs(h - 1.0) < guard:
+    if abs(h - 1.0) < CRITICAL_GUARD:
         raise CriticalPointError(
-            f"h = {h} is within {guard:.0e} of the critical point"
+            f"h = {h} is within {CRITICAL_GUARD:.0e} of the critical point"
         )
 
 
@@ -150,60 +145,43 @@ def chi_g_analytic(h: float, gamma: float, n: int) -> float:
     return (1.0 - gamma) ** 2 / (32.0 * (h - gamma) ** 2 * (h - 1.0) ** 2)
 
 
-def _central_difference(fn, x: float, step: float) -> float:
-    return (fn(x + step) - fn(x - step)) / (2.0 * step)
+def _alpha_derivative(h: float, gamma: float, alpha_value: float) -> float:
+    """d alpha / dh on either side of the transition, given alpha(h, gamma)."""
+    if h > 1.0:
+        return (1.0 - gamma) / (2.0 * alpha_value * (h - gamma) ** 2)
+    return -h / ((1.0 - gamma) * alpha_value)
 
 
-def chi_r_analytic(
-    h: float,
-    gamma: float,
-    tau: float,
-    n: int,
-    step: float = DERIVATIVE_STEP,
-) -> float:
+def chi_r_analytic(h: float, gamma: float, tau: float, n: int) -> float:
     """Thermodynamic-limit reduced fidelity susceptibility.
 
     chi = (d_h mu)^2 / (4 (mu^2 - 1))
         + mu^2 / (4 (mu^2 + 1)) * [d_h ln|mu / G^{++}|]^2
 
     plus, in the broken phase only, the extensive term
-    N tau / (4 G^{++} (1 - h^2)).  The h-derivatives of the closed forms
-    are taken by central differences of width ``step``; the absolute
-    value inside the log leaves the derivative unchanged because the
-    ratio keeps one sign on each side of the transition.
-
-    tau = 1 makes the first denominator vanish; the value returned is
-    the tau -> 1 limit, evaluated at tau = 1 - 1e-6.  Along the curve
-    h^2 = gamma one has alpha = 1 and mu = 1 for every tau (the
-    subsystem mode is unsqueezed there), which makes the first term a
-    removable 0/0; it is evaluated through its limit
-    tau (1 - tau) (d_h alpha)^2 / 4 in that case.
+    N tau / (4 G^{++} (1 - h^2)).  The h-derivatives are exact, by the
+    chain rule through alpha' = d_h alpha.  With
+    mu^2 = tau^2 + (1-tau)^2 + tau(1-tau)(alpha + 1/alpha) the first term
+    is tau(1-tau)(1+alpha)^2 alpha'^2 / (16 mu^2 alpha^3), which has no
+    0/0 where mu = 1 (tau = 1, or alpha = 1 on the curve h^2 = gamma),
+    and d_h ln|mu / G^{++}| =
+    alpha' [tau(1-tau)(alpha^2-1) / (2 alpha^2 mu^2) + tau / (alpha^2 G^{++})].
+    At tau = 1 this is exactly chi_g in the symmetric phase.
     """
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
-    _check_point_args(h, gamma, guard=CRITICAL_GUARD + step)
-    tau_eff = 1.0 - TAU_ONE_OFFSET if tau == 1.0 else tau
-
-    def mu_at(x: float) -> float:
-        return mu(alpha(x, gamma), tau_eff)
-
-    def log_ratio_at(x: float) -> float:
-        a = alpha(x, gamma)
-        return math.log(abs(mu(a, tau_eff) / greens(a, tau_eff)[0]))
-
-    d_mu = _central_difference(mu_at, h, step)
-    d_log_ratio = _central_difference(log_ratio_at, h, step)
-    mu0 = mu_at(h)
-    mu_sq_m1 = mu0**2 - 1.0
-    if mu_sq_m1 > MU_ONE_FLOOR:
-        pop_term = d_mu**2 / (4.0 * mu_sq_m1)
-    else:
-        d_alpha = _central_difference(lambda x: alpha(x, gamma), h, step)
-        pop_term = tau_eff * (1.0 - tau_eff) * d_alpha**2 / 4.0
-    chi = pop_term + (mu0**2 / (4.0 * (mu0**2 + 1.0))) * d_log_ratio**2
+    a = alpha(h, gamma)
+    d_alpha = _alpha_derivative(h, gamma, a)
+    mu_sq = mu(a, tau) ** 2
+    g_pp = greens(a, tau)[0]
+    mix = tau * (1.0 - tau)
+    pop_term = mix * (1.0 + a) ** 2 * d_alpha**2 / (16.0 * mu_sq * a**3)
+    d_log_ratio = d_alpha * (
+        mix * (a * a - 1.0) / (2.0 * a * a * mu_sq) + tau / (a * a * g_pp)
+    )
+    chi = pop_term + (mu_sq / (4.0 * (mu_sq + 1.0))) * d_log_ratio**2
     if h < 1.0:
-        g_pp = greens(alpha(h, gamma), tau_eff)[0]
-        chi += n * tau_eff / (4.0 * g_pp * (1.0 - h * h))
+        chi += n * tau / (4.0 * g_pp * (1.0 - h * h))
     return chi
 
 

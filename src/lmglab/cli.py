@@ -46,7 +46,6 @@ import numpy as np
 from . import __version__
 from .analytic import (
     CriticalPointError,
-    DERIVATIVE_STEP,
     IsotropicPointError,
     chi_g_analytic,
     chi_r_analytic,
@@ -158,8 +157,8 @@ def _parse_delta(text: str) -> float | None:
     if text.strip().lower() == "auto":
         return None
     value = float(text)
-    if value <= 0.0:
-        raise UsageError(f"delta must be positive or 'auto', got {text!r}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise UsageError(f"delta must be finite and positive, or 'auto', got {text!r}")
     return value
 
 
@@ -328,6 +327,11 @@ def config_from_args(args: argparse.Namespace) -> SweepConfig:
         raise UsageError("empty system-size list")
     if any(n < 2 for n in config.n_list):
         raise UsageError(f"system sizes must be >= 2, got {config.n_list}")
+    repeated = sorted({n for n in config.n_list if config.n_list.count(n) > 1})
+    if repeated:
+        raise UsageError(
+            f"system size given more than once: {','.join(map(str, repeated))}"
+        )
     if not 0.0 <= config.gamma <= 1.0:
         raise UsageError(f"--gamma must lie in [0, 1], got {config.gamma}")
     _check_tau([config.tau], "--tau")
@@ -400,7 +404,6 @@ def _evaluate_task(task: tuple) -> list[dict]:
                 base["chi_r"] = chi_r_analytic(h, gamma, tau_real, n)
                 base["eta"] = base["chi_r"] / base["chi_g"]
                 base["entropy"] = entropy_analytic(h, gamma, tau_real)
-                base["delta"] = DERIVATIVE_STEP
             else:
                 point = sweep_point(
                     ModelParams(n, gamma, h),

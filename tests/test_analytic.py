@@ -158,12 +158,51 @@ class TestChiGAnalytic:
             assert values[-1] > 1e6
 
 
+def _chi_r_reference(h, gamma, tau, n):
+    """chi_r from the docstring formulas at 40 digits, with mpmath derivatives."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(40):
+        h, gamma, tau = mp.mpf(h), mp.mpf(gamma), mp.mpf(tau)
+
+        def alpha_at(x):
+            if x > 1:
+                return mp.sqrt((x - 1) / (x - gamma))
+            return mp.sqrt((1 - x * x) / (1 - gamma))
+
+        def mu_at(x):
+            a = alpha_at(x)
+            return mp.sqrt((tau * a + (1 - tau)) * (tau + a * (1 - tau)) / a)
+
+        def g_pp_at(x):
+            return 1 + (1 / alpha_at(x) - 1) * tau
+
+        mu0 = mu_at(h)
+        d_mu = mp.diff(mu_at, h)
+        d_log_ratio = mp.diff(lambda x: mp.log(abs(mu_at(x) / g_pp_at(x))), h)
+        chi = d_mu**2 / (4 * (mu0**2 - 1)) + mu0**2 / (4 * (mu0**2 + 1)) * d_log_ratio**2
+        if h < 1:
+            chi += n * tau / (4 * g_pp_at(h) * (1 - h * h))
+        return float(chi)
+
+
 class TestChiRAnalytic:
-    def test_step_halving_stability(self):
-        for h in (0.6, 1.5):
-            full = chi_r_analytic(h, 0.5, 0.5, 512, step=1e-6)
-            half = chi_r_analytic(h, 0.5, 0.5, 512, step=5e-7)
-            assert abs(full - half) / abs(full) < 1e-4
+    def test_exact_derivatives_against_mpmath(self):
+        fields = (0.0, 0.1, 0.6, 0.99, 1 - 1e-5, 1 + 1e-5, 1.01, 1.5, 10.0, 100.0, 1000.0)
+        for h in fields:
+            for gamma in (0.25, 0.5):
+                for tau in (1 / 256, 0.5, 0.9):
+                    want = _chi_r_reference(h, gamma, tau, 256)
+                    got = chi_r_analytic(h, gamma, tau, 256)
+                    assert abs(got - want) <= 1e-10 * abs(want), (h, gamma, tau)
+        # tau = 1 is evaluated exactly, and there equals chi_g above h = 1.
+        for h in (1 + 1e-5, 1.01, 1.5, 10.0, 100.0, 1000.0):
+            ratio = chi_r_analytic(h, 0.5, 1.0, 256) / chi_g_analytic(h, 0.5, 256)
+            assert abs(ratio - 1.0) <= 1e-14
+        # Deep in the symmetric phase eta reaches its limit tau (2 - tau).
+        tau = 1 / 256
+        for h in (100.0, 1000.0):
+            eta = chi_r_analytic(h, 0.5, tau, 256) / chi_g_analytic(h, 0.5, 256)
+            assert abs(eta / (tau * (2 - tau)) - 1.0) <= 1e-5
 
     def test_broken_divergence_exponent(self):
         # chi_r/N ~ (1-h)^(-1/2); fit close to the transition where the
@@ -188,7 +227,14 @@ class TestChiRAnalytic:
             ]
             devs = [abs(e - 1.0) for e in etas]
             assert devs[0] > devs[1] > devs[2] > devs[3]
-            assert devs[-1] < 5e-3
+            if side < 0:
+                assert devs[-1] < 5e-3
+            else:
+                # eta - 1 ~ sqrt(u) on the symmetric side (8.7e-3 at
+                # u = 1e-5); Richardson-extrapolate the last two gaps.
+                root = math.sqrt(10.0)
+                limit = (root * etas[-1] - etas[-2]) / (root - 1.0)
+                assert abs(limit - 1.0) < 1e-3
 
     def test_reduced_branches_diverge_toward_transition(self):
         for side in (+1.0, -1.0):

@@ -90,6 +90,19 @@ class TestSweepH:
         assert rows[0]["status"].startswith("singular")
         assert rows[0]["chi_g"] == "nan"
 
+    def test_analytic_rows_at_zero_field(self, tmp_path):
+        proc = run_cli(
+            "sweep-h", "--n", "8", "--h-list", "0,0.5", "--methods", "analytic",
+            "--out", str(tmp_path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = read_rows(tmp_path / "sweep_h.csv")
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+        # The closed forms use no step, so delta is nan (null in JSON).
+        assert [r["delta"] for r in rows] == ["nan", "nan"]
+        payload = json.loads((tmp_path / "sweep_h.json").read_text())
+        assert [r["delta"] for r in payload["rows"]] == [None, None]
+
     def test_skip_errors_downgrades_to_success(self, tmp_path):
         proc = run_cli(
             "sweep-h", "--n", "8", "--h-list", "1.0", "--methods", "analytic",
@@ -156,7 +169,8 @@ class TestSweepH:
 
         Structure (comments, header, row layout) must match the stored
         golden byte for byte; numeric cells are compared at 1e-9 so the
-        test survives ulp-level libm differences between platforms.
+        test survives ulp-level libm differences between platforms.  The
+        analytic rows use no step, so their delta cell is nan in both.
         """
         run_cli(
             "sweep-h", "--gamma", "0.5", "--tau", "0.5", "--n", "8",
@@ -175,7 +189,7 @@ class TestSweepH:
             assert len(got_cells) == len(want_cells)
             for g, w in zip(got_cells, want_cells):
                 try:
-                    assert float(g) == pytest.approx(float(w), rel=1e-9)
+                    assert float(g) == pytest.approx(float(w), rel=1e-9, nan_ok=True)
                 except ValueError:
                     assert g == w
 
@@ -438,8 +452,9 @@ class TestConfigFile:
         assert proc.returncode == 1
         assert f"{cfg}:3" in proc.stderr and "h_lst" in proc.stderr
 
-    @pytest.mark.parametrize("line", ["delta = -1", "n = x", "skip-errors = maybe",
-                                      "h-count = 2.5", "no equals sign"])
+    @pytest.mark.parametrize("line", ["delta = -1", "delta = nan", "delta = inf", "n = x",
+                                      "skip-errors = maybe", "h-count = 2.5",
+                                      "no equals sign"])
     def test_bad_value_usage_error(self, tmp_path, line):
         cfg = write_config(tmp_path, "h-list = 0.5\n" f"{line}\n")
         proc = run_cli("sweep-h", "--config", str(cfg), "--n", "8",
@@ -458,6 +473,16 @@ class TestConfigFile:
                 "--methods", "analytic", "--out", str(tmp_path), check=True)
         assert [int(r["N"]) for r in read_rows(tmp_path / "sweep_h.csv")] == [8, 16, 32]
         assert " n=8,16,32" in config_echo(tmp_path / "sweep_h.csv")
+
+    @pytest.mark.parametrize("command", ["sweep-h", "sweep-tau", "compare", "peak-scan"])
+    @pytest.mark.parametrize("sizes", [("--n", "16", "--n", "16"), ("--n", "16,16")])
+    def test_repeated_size_usage_error(self, tmp_path, command, sizes):
+        tau_grid = ("--tau-list", "0.5") if command == "sweep-tau" else ()
+        proc = run_cli(command, *sizes, "--h-start", "0.6", "--h-stop", "1.2",
+                       "--h-count", "13", *tau_grid, "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert "system size given more than once: 16" in proc.stderr
+        assert not list(tmp_path.iterdir())
 
 
 class TestCommandLineGridBeatsConfig:
@@ -489,7 +514,7 @@ class TestCommandLineGridBeatsConfig:
 class TestRangeChecks:
     @pytest.mark.parametrize("flag, value", [
         ("--tau", "-1"), ("--tau", "0"), ("--tau", "1.5"), ("--tau", "nan"),
-        ("--gamma", "2"), ("--gamma", "-0.1"),
+        ("--gamma", "2"), ("--gamma", "-0.1"), ("--delta", "nan"), ("--delta", "inf"),
     ])
     def test_out_of_range_flag_usage_error(self, tmp_path, flag, value):
         proc = run_cli("sweep-h", "--n", "8", "--h-list", "0.5", flag, value,
