@@ -22,7 +22,13 @@ from typing import Callable
 import numpy as np
 
 from .model import DickeGroundState, ModelParams, ground_state
-from .reduced import Bipartition, ReducedDensity, reduce_state, von_neumann_entropy
+from .reduced import (
+    Bipartition,
+    ReducedDensity,
+    parity_blocks,
+    reduce_state,
+    von_neumann_entropy,
+)
 
 # Pairs closer than this in eigenvalue are skipped in the spectral sum;
 # their Bures weight vanishes quadratically, so skipping is exact to
@@ -68,20 +74,24 @@ def uhlmann_fidelity(rho: ReducedDensity, sigma: ReducedDensity) -> float:
     taken over those singular values.  This matters numerically: the
     reduced matrices here are nearly low rank, and taking sqrt of
     eigenvalue-level roundoff (~1e-16 per spurious mode) would bury the
-    1 - F ~ chi*delta^2/2 signal under ~1e-8 noise per mode.  Singular
-    values are nonnegative by construction (the clamp at zero is built
-    in); the result is clipped into [0, 1].  Symmetric in its arguments
-    to ~1e-10.  Both arguments are ReducedDensity, whose cached
+    1 - F ~ chi*delta^2/2 signal under ~1e-8 noise per mode.  Both
+    arguments are parity-block diagonal, so sqrt(rho) sqrt(sigma) is too,
+    and the sum runs over the singular values of the two parity blocks.
+    Singular values are nonnegative by construction (the clamp at zero is
+    built in); the result is clipped into [0, 1].  Symmetric in its
+    arguments to ~1e-10.  Both arguments are ReducedDensity, whose cached
     eigendecomposition enforces the PSD floor and clamps at zero.
     """
-    w_r, v_r = rho.eigenvalues, rho.eigenvectors
-    w_s, v_s = sigma.eigenvalues, sigma.eigenvectors
-    if len(w_r) != len(w_s):
-        raise ValueError(f"dimension mismatch: {len(w_r)} vs {len(w_s)}")
-    # sqrt(rho) sqrt(sigma) = v_r [sqrt(w_r) (v_r^T v_s) sqrt(w_s)] v_s^T;
-    # the orthogonal outer factors do not change singular values.
-    core = np.sqrt(w_r)[:, None] * (v_r.T @ v_s) * np.sqrt(w_s)[None, :]
-    fid = float(np.linalg.svd(core, compute_uv=False).sum())
+    if rho.matrix.shape != sigma.matrix.shape:
+        raise ValueError(
+            f"dimension mismatch: {len(rho.matrix)} vs {len(sigma.matrix)}"
+        )
+    fid = 0.0
+    for (w_r, v_r), (w_s, v_s) in zip(rho.blocks, sigma.blocks):
+        # sqrt(rho_b) sqrt(sigma_b) = v_r [sqrt(w_r) (v_r^T v_s) sqrt(w_s)] v_s^T;
+        # the orthogonal outer factors do not change singular values.
+        core = np.sqrt(w_r)[:, None] * (v_r.T @ v_s) * np.sqrt(w_s)[None, :]
+        fid += float(np.linalg.svd(core, compute_uv=False).sum())
     return min(max(fid, 0.0), 1.0)
 
 
@@ -123,6 +133,7 @@ def fs_spectral(
     rho: ReducedDensity,
     rho_plus: ReducedDensity,
     delta: float,
+    h: float = math.nan,
 ) -> float:
     """Susceptibility from the Bures-metric sum over the spectrum of rho.
 
@@ -134,28 +145,31 @@ def fs_spectral(
 
     using d_h p_n = <psi_n|d_rho|psi_n>.  Modes with p_n < 1e-12 are
     dropped from the first term and pairs with |p_n - p_m| < 1e-10 are
-    skipped in the second.
+    skipped in the second.  All three matrices are parity-block diagonal,
+    so overlaps between the two parity blocks are exactly zero and both
+    sums run over the pairs within each block, with d_rho's block in that
+    block's eigenbasis.  ``h`` is the field at the stencil's centre; it
+    only labels the FidelityError raised when chi is not finite.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    w = rho.eigenvalues
-    v = rho.eigenvectors
-    drho = (rho_plus.matrix - rho_minus.matrix) / (2.0 * delta)
-    overlap = v.T @ drho @ v
+    chi = 0.0
+    for (w, v), plus, minus in zip(
+        rho.blocks, parity_blocks(rho_plus.matrix), parity_blocks(rho_minus.matrix)
+    ):
+        overlap = v.T @ ((plus - minus) / (2.0 * delta)) @ v
 
-    dp = np.diag(overlap)
-    occupied = w >= POPULATION_CUTOFF
-    first = float((dp[occupied] ** 2 / (4.0 * w[occupied])).sum())
+        dp = np.diag(overlap)
+        occupied = w >= POPULATION_CUTOFF
+        chi += float((dp[occupied] ** 2 / (4.0 * w[occupied])).sum())
 
-    gaps = np.abs(w[:, None] - w[None, :])
-    pair_mask = gaps >= DEGENERACY_TOL
-    np.fill_diagonal(pair_mask, False)
-    denom = w[:, None] + w[None, :]
-    second = float(0.5 * (overlap[pair_mask] ** 2 / denom[pair_mask]).sum())
+        pair_mask = np.abs(w[:, None] - w[None, :]) >= DEGENERACY_TOL
+        np.fill_diagonal(pair_mask, False)
+        denom = w[:, None] + w[None, :]
+        chi += float(0.5 * (overlap[pair_mask] ** 2 / denom[pair_mask]).sum())
 
-    chi = first + second
     if not math.isfinite(chi):
-        raise FidelityError(f"non-finite susceptibility {chi}", 0.0, delta)
+        raise FidelityError(f"non-finite susceptibility {chi}", h, delta)
     return chi
 
 
@@ -224,7 +238,7 @@ def sweep_point(
             # Forward stencil at the h = 0 boundary: pass rho(h) as the
             # lower point with half the spacing.
             chi_r = fs_spectral(
-                rho_mid, rho_mid, reduced_at(params.h + step), 0.5 * step
+                rho_mid, rho_mid, reduced_at(params.h + step), 0.5 * step, params.h
             )
         else:
             chi_r = fs_spectral(
@@ -232,6 +246,7 @@ def sweep_point(
                 rho_mid,
                 reduced_at(params.h + step),
                 step,
+                params.h,
             )
 
     if chi_g <= 0.0:

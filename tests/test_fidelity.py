@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import sqrtm
 
 import lmglab.fidelity
 from lmglab.fidelity import (
+    DEGENERACY_TOL,
+    POPULATION_CUTOFF,
     DeltaProbeWarning,
     FidelityError,
     SweepPoint,
@@ -17,12 +20,68 @@ from lmglab.fidelity import (
     uhlmann_fidelity,
 )
 from lmglab.model import ModelParams, ground_state
-from lmglab.reduced import Bipartition, ReducedDensity, reduce_state
+from lmglab.reduced import (
+    PSD_FLOOR,
+    Bipartition,
+    ReducedDensity,
+    ReducedDensityError,
+    reduce_state,
+)
+
+from oracles import partial_trace_first, pauli_hamiltonian
+
+# Ground states in the odd k-parity sector, alongside the even-sector
+# inputs: odd N in the broken phase (N = 9, 15) and gamma = 1 (N = 16).
+ODD_SECTOR = [(9, 0.5, 0.7), (9, 0.5, 0.9), (15, 0.5, 0.3), (16, 1.0, 0.9)]
 
 
 def _rho(diag):
     mat = np.diag(np.asarray(diag, dtype=float))
     return ReducedDensity(m_sub=len(diag) - 1, matrix=mat)
+
+
+def _sector(n, gamma, h):
+    """k-parity sector (0 or 1) of the ground state."""
+    return int(ground_state(ModelParams(n, gamma, h)).coefficients[1::2].any())
+
+
+def _reduced(n, gamma, h, m_sub):
+    return reduce_state(ground_state(ModelParams(n, gamma, h)), Bipartition(n, m_sub))
+
+
+# Dense reference: the full-matrix formulas, without the parity blocks.
+
+def _dense_eigh(rho):
+    w, v = np.linalg.eigh(rho.matrix)
+    assert w[0] >= PSD_FLOOR
+    return np.clip(w, 0.0, None), v
+
+
+def _dense_uhlmann(rho, sigma):
+    w_r, v_r = _dense_eigh(rho)
+    w_s, v_s = _dense_eigh(sigma)
+    core = np.sqrt(w_r)[:, None] * (v_r.T @ v_s) * np.sqrt(w_s)[None, :]
+    return min(max(float(np.linalg.svd(core, compute_uv=False).sum()), 0.0), 1.0)
+
+
+def _dense_spectral(rho_minus, rho, rho_plus, delta):
+    w, v = _dense_eigh(rho)
+    overlap = v.T @ ((rho_plus.matrix - rho_minus.matrix) / (2.0 * delta)) @ v
+    dp = np.diag(overlap)
+    occupied = w >= POPULATION_CUTOFF
+    first = float((dp[occupied] ** 2 / (4.0 * w[occupied])).sum())
+    pair_mask = np.abs(w[:, None] - w[None, :]) >= DEGENERACY_TOL
+    np.fill_diagonal(pair_mask, False)
+    denom = w[:, None] + w[None, :]
+    return first + float(0.5 * (overlap[pair_mask] ** 2 / denom[pair_mask]).sum())
+
+
+def _oracle_fidelity(n, gamma, h1, h2, m_sub):
+    """Uhlmann fidelity of M-spin partial traces of dense 2^n ground states."""
+    lo = np.linalg.eigh(pauli_hamiltonian(n, gamma, h1))[1][:, 0]
+    hi = np.linalg.eigh(pauli_hamiltonian(n, gamma, h2))[1][:, 0]
+    root = sqrtm(partial_trace_first(lo, m_sub, n))
+    return float(np.trace(sqrtm(root @ partial_trace_first(hi, m_sub, n) @ root)).real)
 
 
 class TestUhlmannFidelity:
@@ -42,10 +101,15 @@ class TestUhlmannFidelity:
         )
 
     def test_symmetric_in_arguments(self):
-        state = ground_state(ModelParams(30, 0.5, 0.9))
-        rho = reduce_state(state, Bipartition(30, 12))
-        sigma = reduce_state(ground_state(ModelParams(30, 0.5, 1.1)), Bipartition(30, 12))
-        assert abs(uhlmann_fidelity(rho, sigma) - uhlmann_fidelity(sigma, rho)) < 1e-10
+        cases = (
+            [(30, 12, 0.5, 0.9, 1.1)]
+            + [(n, n // 2, gamma, h, h + 0.2) for n, gamma, h in ODD_SECTOR]
+            + [(9, 4, 1.0, 0.3, 0.5)]  # even sector against odd
+        )
+        for n, m_sub, gamma, h, h2 in cases:
+            rho = _reduced(n, gamma, h, m_sub)
+            sigma = _reduced(n, gamma, h2, m_sub)
+            assert abs(uhlmann_fidelity(rho, sigma) - uhlmann_fidelity(sigma, rho)) < 1e-10
 
     def test_pure_inputs_equal_absolute_overlap(self):
         a = ground_state(ModelParams(16, 0.5, 0.8)).coefficients
@@ -57,11 +121,31 @@ class TestUhlmannFidelity:
         )
 
     def test_bounds(self):
-        for h2 in (0.75, 0.9, 1.3):
-            rho = reduce_state(ground_state(ModelParams(14, 0.2, 0.7)), Bipartition(14, 7))
-            sig = reduce_state(ground_state(ModelParams(14, 0.2, h2)), Bipartition(14, 7))
-            fid = uhlmann_fidelity(rho, sig)
-            assert 0.0 <= fid <= 1.0
+        for n, gamma, h in [(14, 0.2, 0.7)] + ODD_SECTOR:
+            for h2 in (0.75, 0.9, 1.3):
+                rho = _reduced(n, gamma, h, n // 2)
+                sig = _reduced(n, gamma, h2, n // 2)
+                fid = uhlmann_fidelity(rho, sig)
+                assert 0.0 <= fid <= 1.0
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.parametrize(
+        "n, gamma, h1, h2",
+        [
+            (8, 0.5, 0.7, 0.8),  # even sector
+            (7, 0.5, 0.3, 0.7),  # odd sector
+            (9, 0.5, 0.7, 0.75),  # odd sector
+            (9, 1.0, 0.3, 0.5),  # even against odd: orthogonal at M = N
+        ],
+    )
+    def test_matches_dense_product_basis_oracle(self, n, gamma, h1, h2):
+        # sqrtm of the rank-deficient 2^M matrices is good to ~1e-7 here;
+        # 1 - F is above 1e-3 at every M, so a lost block would show.
+        for m_sub in range(1, n + 1):
+            fid = uhlmann_fidelity(_reduced(n, gamma, h1, m_sub),
+                                   _reduced(n, gamma, h2, m_sub))
+            oracle = _oracle_fidelity(n, gamma, h1, h2, m_sub)
+            assert fid == pytest.approx(oracle, abs=1e-6), m_sub
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -148,11 +232,13 @@ class TestFsSpectral:
         assert chi == pytest.approx(1.0 / (4 * 0.3) + 1.0 / (4 * 0.7), rel=1e-10)
 
     def test_agrees_with_finite_difference(self):
-        n = 256
-        part = Bipartition(n, 128)
-        fd = sweep_point(ModelParams(n, 0.5, 1.5), part, probe=False)
-        sp = sweep_point(ModelParams(n, 0.5, 1.5), part, method="spectral", probe=False)
-        assert abs(fd.chi_r - sp.chi_r) / fd.chi_r < 1e-3
+        # N = 256 is in the even sector, the other three in the odd one.
+        for n, m_sub, h in [(256, 128, 1.5), (255, 128, 1.5), (9, 4, 0.7), (15, 7, 0.3)]:
+            part = Bipartition(n, m_sub)
+            fd = sweep_point(ModelParams(n, 0.5, h), part, probe=False)
+            sp = sweep_point(ModelParams(n, 0.5, h), part, method="spectral",
+                             probe=False)
+            assert abs(fd.chi_r - sp.chi_r) / fd.chi_r < 1e-3, n
 
     def test_degenerate_pairs_skipped(self):
         # Exactly degenerate pair: the pair term must be dropped, not 0/0.
@@ -163,6 +249,101 @@ class TestFsSpectral:
         minus = ReducedDensity(m_sub=2, matrix=base.matrix - bump)
         chi = fs_spectral(minus, base, plus, 1e-2)
         assert math.isfinite(chi) and chi >= 0.0
+
+    def test_error_names_the_point_field(self, monkeypatch):
+        # A NaN on the diagonal of rho(h + delta) makes chi non-finite; the
+        # error must carry the point's h, not a placeholder.
+        def poisoned(state, part):
+            rho = reduce_state(state, part)
+            if state.params.h <= 0.9:
+                return rho
+            matrix = rho.matrix.copy()
+            matrix[0, 0] = math.nan
+            return ReducedDensity(m_sub=rho.m_sub, matrix=matrix)
+
+        monkeypatch.setattr(lmglab.fidelity, "reduce_state", poisoned)
+        with pytest.raises(FidelityError) as info:
+            sweep_point(ModelParams(16, 0.5, 0.9), Bipartition(16, 8),
+                        method="spectral")
+        assert info.value.h == 0.9
+        assert "h=0.9," in str(info.value)
+
+
+def _dense_cases():
+    for n in (8, 9, 16, 64):
+        for m_sub in sorted({1, 2, n // 2, n - 1, n}):
+            for gamma in (0.5, 1.0):
+                yield n, m_sub, gamma
+
+
+class TestParityBlocks:
+    """The per-block paths against the dense full-matrix formulas."""
+
+    @pytest.mark.parametrize("n, m_sub, gamma", list(_dense_cases()))
+    def test_match_dense_reference(self, n, m_sub, gamma):
+        delta = 1e-3
+        for h in (0.0, 0.5, 1.0, 1.5):
+            lo = max(h - delta, 0.0)
+            minus, rho, plus = (_reduced(n, gamma, x, m_sub) for x in (lo, h, h + delta))
+            step = 0.5 * (h + delta - lo)
+            w_dense = _dense_eigh(rho)[0]
+            np.testing.assert_allclose(np.sort(rho.eigenvalues), w_dense,
+                                       rtol=0, atol=1e-13)
+
+            fid, dense_fid = uhlmann_fidelity(rho, plus), _dense_uhlmann(rho, plus)
+            if m_sub == n and _sector(n, gamma, h) != _sector(n, gamma, h + delta):
+                # The stencil crosses a level crossing into the other k-parity
+                # sector: rho and sigma are orthogonal pure states.  Per block,
+                # F is exactly 0; the dense core pairs rho's eigenvector with
+                # sigma's null space, whose sqrt(roundoff) eigenvalues leave
+                # ~1e-9 (N = 9, h = 0).
+                assert fid == 0.0 and dense_fid < 1e-8, h
+            else:
+                assert fid == pytest.approx(dense_fid, abs=1e-13), h
+
+            chi = fs_spectral(minus, rho, plus, step)
+            dense = _dense_spectral(minus, rho, plus, step)
+            (w0, _), (w1, _) = rho.blocks
+            w0, w1 = w0[w0 >= POPULATION_CUTOFF], w1[w1 >= POPULATION_CUTOFF]
+            if np.any(np.abs(w0[:, None] - w1[None, :]) < DEGENERACY_TOL):
+                # An occupied eigenvalue shared by both blocks (N = 8, M = 4,
+                # h = 0.5): the dense eigh may mix the blocks in that
+                # eigenspace, and the dense first term, which skips the
+                # degenerate pair, depends on that mixing and can only lose
+                # weight by it.  d_rho has no cross-block entries, so the
+                # parity basis is the one that diagonalizes it there.
+                assert dense <= chi * (1.0 + 1e-12), h
+                assert chi == pytest.approx(dense, rel=1e-8), h
+            else:
+                # Where rho does not move (gamma = 1 between level
+                # crossings), both sums are roundoff around 0.
+                assert chi == pytest.approx(dense, rel=1e-9, abs=1e-12), h
+
+    def test_eigenvalue_order(self):
+        # The even-p block's eigenvalues ascending, then the odd-p block's.
+        rho = ReducedDensity(m_sub=3, matrix=np.diag([0.1, 0.4, 0.3, 0.2]))
+        np.testing.assert_array_equal(rho.eigenvalues, [0.1, 0.3, 0.2, 0.4])
+
+    @pytest.mark.parametrize("entry", [(0, 1), (2, 1), (3, 0)])
+    def test_odd_offset_entry_rejected(self, entry):
+        matrix = np.diag([0.4, 0.3, 0.2, 0.1])
+        matrix[entry] = 1e-3
+        bad = ReducedDensity(m_sub=3, matrix=matrix)
+        good = _rho([0.4, 0.3, 0.2, 0.1])
+        with pytest.raises(ReducedDensityError):
+            bad.eigenvalues
+        with pytest.raises(ReducedDensityError):
+            uhlmann_fidelity(good, bad)
+        with pytest.raises(ReducedDensityError):
+            fs_spectral(good, good, bad, 1e-2)
+
+    def test_even_offset_entries_accepted(self):
+        matrix = np.diag([0.4, 0.3, 0.2, 0.1])
+        matrix[0, 2] = matrix[2, 0] = 1e-3
+        matrix[1, 3] = matrix[3, 1] = 1e-3
+        rho = ReducedDensity(m_sub=3, matrix=matrix)
+        assert rho.eigenvalues.sum() == pytest.approx(1.0, abs=1e-15)
+        assert uhlmann_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSweep:

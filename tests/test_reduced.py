@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,6 +155,13 @@ class TestReduceState:
             total = sum(hypergeometric_weight(p, n, 1, m) for p in range(2))
             tol = max(1e-12, 4 * np.spacing(log_c[m]))
             assert abs(total - 1.0) <= tol, m
+
+    def test_both_parity_sectors_raise(self):
+        # The parity blocks need the state in a single k-parity sector.
+        state = ground_state(ModelParams(8, 0.5, 0.7))
+        mixed = replace(state, coefficients=np.full(9, 1.0 / 3.0))
+        with pytest.raises(ReducedDensityError):
+            reduce_state(mixed, Bipartition(8, 4))
 
     def test_size_mismatch_raises(self):
         state = ground_state(ModelParams(8, 0.5, 0.7))
