@@ -22,13 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .model import DickeGroundState, ModelParams, ground_state
-from .reduced import (
-    Bipartition,
-    ReducedDensity,
-    parity_blocks,
-    reduce_state,
-    von_neumann_entropy,
-)
+from .reduced import Bipartition, ReducedDensity, reduce_state, von_neumann_entropy
 
 # Pairs closer than this in eigenvalue are skipped in the spectral sum;
 # their Bures weight vanishes quadratically, so skipping is exact to
@@ -77,15 +71,10 @@ def uhlmann_fidelity(rho: ReducedDensity, sigma: ReducedDensity) -> float:
     1 - F ~ chi*delta^2/2 signal under ~1e-8 noise per mode.  Both
     arguments are parity-block diagonal, so sqrt(rho) sqrt(sigma) is too,
     and the sum runs over the singular values of the two parity blocks.
-    Singular values are nonnegative by construction (the clamp at zero is
-    built in); the result is clipped into [0, 1].  Symmetric in its
-    arguments to ~1e-10.  Both arguments are ReducedDensity, whose cached
-    eigendecomposition enforces the PSD floor and clamps at zero.
+    The result is clipped into [0, 1] and is symmetric in its arguments
+    to ~1e-10; arguments of different subsystem size raise ValueError.
     """
-    if rho.matrix.shape != sigma.matrix.shape:
-        raise ValueError(
-            f"dimension mismatch: {len(rho.matrix)} vs {len(sigma.matrix)}"
-        )
+    _check_same_size(rho, sigma)
     fid = 0.0
     for (w_r, v_r), (w_s, v_s) in zip(rho.blocks, sigma.blocks):
         # sqrt(rho_b) sqrt(sigma_b) = v_r [sqrt(w_r) (v_r^T v_s) sqrt(w_s)] v_s^T;
@@ -93,6 +82,12 @@ def uhlmann_fidelity(rho: ReducedDensity, sigma: ReducedDensity) -> float:
         core = np.sqrt(w_r)[:, None] * (v_r.T @ v_s) * np.sqrt(w_s)[None, :]
         fid += float(np.linalg.svd(core, compute_uv=False).sum())
     return min(max(fid, 0.0), 1.0)
+
+
+def _check_same_size(*rhos: ReducedDensity) -> None:
+    if len({rho.m_sub for rho in rhos}) > 1:
+        sizes = " vs ".join(str(rho.m_sub + 1) for rho in rhos)
+        raise ValueError(f"dimension mismatch: {sizes}")
 
 
 def bures_distance_sq(rho: ReducedDensity, sigma: ReducedDensity) -> float:
@@ -148,14 +143,16 @@ def fs_spectral(
     skipped in the second.  All three matrices are parity-block diagonal,
     so overlaps between the two parity blocks are exactly zero and both
     sums run over the pairs within each block, with d_rho's block in that
-    block's eigenbasis.  ``h`` is the field at the stencil's centre; it
-    only labels the FidelityError raised when chi is not finite.
+    block's eigenbasis; arguments of different subsystem size raise
+    ValueError.  ``h`` is the field at the stencil's centre; it only
+    labels the FidelityError raised when chi is not finite.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
+    _check_same_size(rho_minus, rho, rho_plus)
     chi = 0.0
     for (w, v), plus, minus in zip(
-        rho.blocks, parity_blocks(rho_plus.matrix), parity_blocks(rho_minus.matrix)
+        rho.blocks, rho_plus.block_matrices, rho_minus.block_matrices
     ):
         overlap = v.T @ ((plus - minus) / (2.0 * delta)) @ v
 
@@ -191,6 +188,7 @@ def sweep_point(
     forced off) re-evaluates chi_g at delta/2, warning if the two differ
     by more than 0.1%.  chi_g always comes from pure-state overlaps;
     ``method`` selects how chi_r is computed from the reduced matrices.
+    A stencil across a k-parity level crossing raises FidelityError.
     """
     if params.n != part.n:
         raise ValueError(f"bipartition n={part.n} does not match params n={params.n}")
@@ -208,6 +206,10 @@ def sweep_point(
     def state_at(h: float) -> DickeGroundState:
         if h not in states:
             states[h] = ground_state(replace(params, h=h))
+            # Across a k-parity level crossing the states are orthogonal.
+            if states[h].sector != next(iter(states.values())).sector:
+                msg = f"stencil field h={h} lies across a k-parity level crossing"
+                raise FidelityError(msg, params.h, step)
         return states[h]
 
     def coefficients_at(h: float) -> np.ndarray:
@@ -233,21 +235,14 @@ def sweep_point(
 
     if method == "finite-difference":
         chi_r = fs_finite_difference(reduced_at, params.h, step)
+    elif params.h - step < 0.0:
+        # Forward stencil at the h = 0 boundary: pass rho(h) as the lower
+        # point with half the spacing.
+        plus = reduced_at(params.h + step)
+        chi_r = fs_spectral(rho_mid, rho_mid, plus, 0.5 * step, params.h)
     else:
-        if params.h - step < 0.0:
-            # Forward stencil at the h = 0 boundary: pass rho(h) as the
-            # lower point with half the spacing.
-            chi_r = fs_spectral(
-                rho_mid, rho_mid, reduced_at(params.h + step), 0.5 * step, params.h
-            )
-        else:
-            chi_r = fs_spectral(
-                reduced_at(params.h - step),
-                rho_mid,
-                reduced_at(params.h + step),
-                step,
-                params.h,
-            )
+        minus, plus = reduced_at(params.h - step), reduced_at(params.h + step)
+        chi_r = fs_spectral(minus, rho_mid, plus, step, params.h)
 
     if chi_g <= 0.0:
         raise FidelityError(

@@ -108,6 +108,12 @@ class DickeGroundState:
     coefficients: np.ndarray
     energy: float
 
+    @property
+    def sector(self) -> int | None:
+        """k-parity (0 or 1) of the support, None if it spans both sectors."""
+        even, odd = self.coefficients[0::2].any(), self.coefficients[1::2].any()
+        return None if even and odd else int(odd)
+
 
 def _band_arrays(n: int, gamma: float, h: float) -> tuple[np.ndarray, np.ndarray]:
     # Raw band construction without the h >= 0 guard, so the h <-> -h spectrum

@@ -15,9 +15,9 @@ p+k collective excitations fall in block A.  Tracing out B leaves
 an (M+1)x(M+1) real symmetric matrix.  The ground state has support on a
 single k-parity sector s, so Psi[p, k] vanishes unless k = s - p (mod 2):
 rho_A is block diagonal in the parity of p, rho_A = rho_even + rho_odd,
-and its entries at odd p - q are exactly zero.  It is built as two parity
-blocks, each one product over a quarter of Psi, a quarter of the flops of
-the full product; its eigendecomposition is taken per block too.
+and its entries at odd p - q are exactly zero.  It is built, stored and
+decomposed as those two blocks, each one product over a quarter of Psi;
+the dense matrix is only embedded on demand.
 """
 
 from __future__ import annotations
@@ -59,38 +59,44 @@ class Bipartition:
         return self.m_sub / self.n
 
 
-def parity_blocks(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The even-p and odd-p diagonal blocks matrix[r::2, r::2], r = 0, 1.
-
-    Raises ReducedDensityError if an entry at odd p - q is nonzero, since
-    the two blocks would then not hold the whole matrix.
-    """
-    if matrix[0::2, 1::2].any() or matrix[1::2, 0::2].any():
-        raise ReducedDensityError(
-            "nonzero entry at odd p - q: matrix is not parity-block diagonal"
-        )
-    return matrix[0::2, 0::2], matrix[1::2, 1::2]
-
-
 @dataclass(frozen=True)
 class ReducedDensity:
     """Real symmetric PSD unit-trace matrix of an M-spin subsystem.
 
-    Invariant: the matrix is block diagonal in the parity of p, i.e. every
-    entry at odd p - q is exactly zero, as :func:`reduce_state` builds it.
-    The eigendecomposition is taken per parity block, computed once and
-    cached so that entropy and fidelity evaluations at the same (h, M)
-    share it; decomposing a matrix that breaks the invariant raises
-    ReducedDensityError.
+    Stored as its two parity blocks rho[r::2, r::2], r = 0 (even p) and 1
+    (odd p); the entries at odd p - q are exactly zero.  The eigendecomposition
+    is taken per block and cached, shared by entropy and fidelity.
     """
 
-    m_sub: int
-    matrix: np.ndarray
+    block_matrices: tuple[np.ndarray, np.ndarray]
+
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray) -> ReducedDensity:
+        """The reduced density of a dense (M+1)x(M+1) matrix.
+
+        Raises ReducedDensityError if an entry at odd p - q is nonzero.
+        """
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix[0::2, 1::2].any() or matrix[1::2, 0::2].any():
+            raise ReducedDensityError("matrix has a nonzero entry at odd p - q")
+        return cls((matrix[0::2, 0::2], matrix[1::2, 1::2]))
+
+    @property
+    def m_sub(self) -> int:
+        return sum(len(block) for block in self.block_matrices) - 1
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense (M+1)x(M+1) matrix, zero at odd p - q; built on first use."""
+        matrix = np.zeros((self.m_sub + 1,) * 2)
+        for r, block in enumerate(self.block_matrices):
+            matrix[r::2, r::2] = block
+        return matrix
 
     @cached_property
     def _decomposition(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         blocks = []
-        for block in parity_blocks(self.matrix):
+        for block in self.block_matrices:
             w, v = np.linalg.eigh(block)
             if w.size and w[0] < PSD_FLOOR:
                 raise ReducedDensityError(
@@ -182,43 +188,36 @@ def _schmidt_weights(n: int, m_sub: int) -> np.ndarray:
 def reduce_state(state: DickeGroundState, part: Bipartition) -> ReducedDensity:
     """Trace the ground state down to the m_sub-spin reduced density matrix.
 
-    Builds the Schmidt matrix Psi[p, k] = C_{p+k} sqrt(H(p; N, M, p+k))
-    and returns rho_A = Psi Psi^T as two parity blocks: rows p = r (mod 2)
-    of Psi are nonzero only in the columns k = s - r (mod 2), s being the
-    state's k-parity sector, so each block is one product over a quarter
-    of Psi, a quarter of the flops of the full product, and the entries at
-    odd p - q are exactly zero.  Each block is symmetrized as
-    (b + b^T)/2 to remove roundoff asymmetry, and the trace is required to
-    be 1 within 1e-12.
+    Returns rho_A = Psi Psi^T as its two parity blocks: block r is the
+    product of rows p = r (mod 2) and columns k = s - r (mod 2) of Psi, s
+    being the state's k-parity sector, with its transpose, symmetrized as
+    (b + b^T)/2.  The trace is required to be 1 within 1e-12.
     """
     if part.n != state.params.n:
         raise ValueError(
             f"bipartition is for n={part.n} but state has n={state.params.n}"
         )
-    n = part.n
-    m_sub = part.m_sub
-    coefficients = state.coefficients
-    even, odd = coefficients[0::2].any(), coefficients[1::2].any()
-    if even and odd:
+    n, m_sub = part.n, part.m_sub
+    sector = state.sector
+    if sector is None:
         raise ReducedDensityError(
             f"state has support on both k-parity sectors (n={n}, m_sub={m_sub})"
         )
-    sector = 0 if even else 1
-    hankel = sliding_window_view(coefficients, n - m_sub + 1)
+    hankel = sliding_window_view(state.coefficients, n - m_sub + 1)
     weights = _schmidt_weights(n, m_sub)
-    rho = np.zeros((m_sub + 1, m_sub + 1))
+    blocks = []
     for r in (0, 1):
         c = (sector - r) % 2
         psi = weights[r::2, c::2] * hankel[r::2, c::2]
         block = psi @ psi.T
-        rho[r::2, r::2] = 0.5 * (block + block.T)
+        blocks.append(0.5 * (block + block.T))
 
-    trace_err = abs(rho.trace() - 1.0)
+    trace_err = abs(blocks[0].trace() + blocks[1].trace() - 1.0)
     if trace_err > TRACE_TOL:
         raise ReducedDensityError(
             f"trace deviates from 1 by {trace_err:.3e} (n={n}, m_sub={m_sub})"
         )
-    return ReducedDensity(m_sub=m_sub, matrix=rho)
+    return ReducedDensity(tuple(blocks))
 
 
 def von_neumann_entropy(rho: ReducedDensity) -> float:

@@ -103,6 +103,24 @@ class TestSweepH:
         payload = json.loads((tmp_path / "sweep_h.json").read_text())
         assert [r["delta"] for r in payload["rows"]] == [None, None]
 
+    @pytest.mark.parametrize("grid, failed", [
+        (("--h-list", "0", "--methods", "finite-difference,spectral"),
+         ["h=0.0 tau=0.444444 [finite-difference]", "h=0.0 tau=0.444444 [spectral]"]),
+        (("--h-start", "0.150", "--h-stop", "0.165", "--h-count", "31"),
+         ["h=0.157 tau=0.444444 [finite-difference]",
+          "h=0.1575 tau=0.444444 [finite-difference]"]),
+    ])
+    def test_level_crossing_points_fail(self, tmp_path, grid, failed):
+        # N = 9 at gamma = 0.5 has exact k-parity level crossings at h = 0 and
+        # near h = 0.1572; only the points whose stencil straddles one fail.
+        proc = run_cli("sweep-h", "--n", "9", "--gamma", "0.5", "--tau", "0.5", *grid,
+                       "--out", str(tmp_path))
+        assert proc.returncode == 3
+        bad = [r for r in read_rows(tmp_path / "sweep_h.csv") if r["status"] != "ok"]
+        assert [r["status"][:8] for r in bad] == ['"failed:'] * len(failed)
+        for point in failed:
+            assert f"point N=9 {point}: failed: stencil field" in proc.stderr
+
     def test_skip_errors_downgrades_to_success(self, tmp_path):
         proc = run_cli(
             "sweep-h", "--n", "8", "--h-list", "1.0", "--methods", "analytic",

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from lmglab.reduced import (
     ReducedDensity,
     ReducedDensityError,
     reduce_state,
+    von_neumann_entropy,
 )
 
 from oracles import partial_trace_first, pauli_hamiltonian
@@ -36,13 +38,12 @@ ODD_SECTOR = [(9, 0.5, 0.7), (9, 0.5, 0.9), (15, 0.5, 0.3), (16, 1.0, 0.9)]
 
 
 def _rho(diag):
-    mat = np.diag(np.asarray(diag, dtype=float))
-    return ReducedDensity(m_sub=len(diag) - 1, matrix=mat)
+    return ReducedDensity.from_matrix(np.diag(np.asarray(diag, dtype=float)))
 
 
 def _sector(n, gamma, h):
     """k-parity sector (0 or 1) of the ground state."""
-    return int(ground_state(ModelParams(n, gamma, h)).coefficients[1::2].any())
+    return ground_state(ModelParams(n, gamma, h)).sector
 
 
 def _reduced(n, gamma, h, m_sub):
@@ -114,8 +115,8 @@ class TestUhlmannFidelity:
     def test_pure_inputs_equal_absolute_overlap(self):
         a = ground_state(ModelParams(16, 0.5, 0.8)).coefficients
         b = ground_state(ModelParams(16, 0.5, 0.9)).coefficients
-        rho_a = ReducedDensity(m_sub=16, matrix=np.outer(a, a))
-        rho_b = ReducedDensity(m_sub=16, matrix=np.outer(b, b))
+        rho_a = ReducedDensity.from_matrix(np.outer(a, a))
+        rho_b = ReducedDensity.from_matrix(np.outer(b, b))
         assert uhlmann_fidelity(rho_a, rho_b) == pytest.approx(
             abs(float(a @ b)), abs=1e-10
         )
@@ -240,13 +241,20 @@ class TestFsSpectral:
                              probe=False)
             assert abs(fd.chi_r - sp.chi_r) / fd.chi_r < 1e-3, n
 
+    def test_dimension_mismatch(self):
+        # Blocks of different sizes would broadcast into a wrong sum.
+        minus, rho, plus = (_reduced(8, 0.5, 0.899, 1), _reduced(8, 0.5, 0.9, 3),
+                            _reduced(8, 0.5, 0.901, 3))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            fs_spectral(minus, rho, plus, 1e-3)
+
     def test_degenerate_pairs_skipped(self):
         # Exactly degenerate pair: the pair term must be dropped, not 0/0.
         base = _rho([0.4, 0.4, 0.2])
         bump = np.zeros((3, 3))
         bump[0, 2] = bump[2, 0] = 1e-3
-        plus = ReducedDensity(m_sub=2, matrix=base.matrix + bump)
-        minus = ReducedDensity(m_sub=2, matrix=base.matrix - bump)
+        plus = ReducedDensity.from_matrix(base.matrix + bump)
+        minus = ReducedDensity.from_matrix(base.matrix - bump)
         chi = fs_spectral(minus, base, plus, 1e-2)
         assert math.isfinite(chi) and chi >= 0.0
 
@@ -259,7 +267,7 @@ class TestFsSpectral:
                 return rho
             matrix = rho.matrix.copy()
             matrix[0, 0] = math.nan
-            return ReducedDensity(m_sub=rho.m_sub, matrix=matrix)
+            return ReducedDensity.from_matrix(matrix)
 
         monkeypatch.setattr(lmglab.fidelity, "reduce_state", poisoned)
         with pytest.raises(FidelityError) as info:
@@ -321,27 +329,37 @@ class TestParityBlocks:
 
     def test_eigenvalue_order(self):
         # The even-p block's eigenvalues ascending, then the odd-p block's.
-        rho = ReducedDensity(m_sub=3, matrix=np.diag([0.1, 0.4, 0.3, 0.2]))
+        rho = ReducedDensity.from_matrix(np.diag([0.1, 0.4, 0.3, 0.2]))
         np.testing.assert_array_equal(rho.eigenvalues, [0.1, 0.3, 0.2, 0.4])
+
+    def test_production_path_leaves_matrix_unbuilt(self):
+        minus, rho, plus = (_reduced(16, 0.5, h, 8) for h in (0.899, 0.9, 0.901))
+        von_neumann_entropy(rho)
+        uhlmann_fidelity(minus, plus)
+        fs_spectral(minus, rho, plus, 1e-3)
+        for r in (minus, rho, plus):
+            assert "matrix" not in vars(r)
+
+    def test_from_matrix_round_trip(self):
+        for n, gamma, h in [(16, 0.5, 0.9)] + ODD_SECTOR:
+            rho = _reduced(n, gamma, h, n // 2)
+            back = ReducedDensity.from_matrix(rho.matrix)
+            assert back.m_sub == rho.m_sub == n // 2
+            for a, b in zip(back.block_matrices, rho.block_matrices, strict=True):
+                assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("entry", [(0, 1), (2, 1), (3, 0)])
     def test_odd_offset_entry_rejected(self, entry):
         matrix = np.diag([0.4, 0.3, 0.2, 0.1])
         matrix[entry] = 1e-3
-        bad = ReducedDensity(m_sub=3, matrix=matrix)
-        good = _rho([0.4, 0.3, 0.2, 0.1])
         with pytest.raises(ReducedDensityError):
-            bad.eigenvalues
-        with pytest.raises(ReducedDensityError):
-            uhlmann_fidelity(good, bad)
-        with pytest.raises(ReducedDensityError):
-            fs_spectral(good, good, bad, 1e-2)
+            ReducedDensity.from_matrix(matrix)
 
     def test_even_offset_entries_accepted(self):
         matrix = np.diag([0.4, 0.3, 0.2, 0.1])
         matrix[0, 2] = matrix[2, 0] = 1e-3
         matrix[1, 3] = matrix[3, 1] = 1e-3
-        rho = ReducedDensity(m_sub=3, matrix=matrix)
+        rho = ReducedDensity.from_matrix(matrix)
         assert rho.eigenvalues.sum() == pytest.approx(1.0, abs=1e-15)
         assert uhlmann_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
 
@@ -370,6 +388,28 @@ class TestSweep:
         # polarized tower is h-independent), so eta is undefined there.
         with pytest.raises(FidelityError):
             sweep_point(ModelParams(16, 1.0, 0.0), Bipartition(16, 8), probe=False)
+
+    @pytest.mark.parametrize("method", ["finite-difference", "spectral"])
+    @pytest.mark.parametrize("n, h", [(9, 0.0), (9, 0.157), (9, 0.1575), (8, 0.0883)])
+    def test_stencil_across_level_crossing_raises(self, n, h, method):
+        # Exact k-parity level crossings: h = 0 for odd N (the spin flip maps
+        # k to N - k) and, at gamma < 1, points in the broken phase (N = 9
+        # near 0.1572, N = 8 near 0.0883).  A stencil across one compares
+        # orthogonal states, so chi_g would read 2/delta^2.  The error comes
+        # before the delta-probe, so no DeltaProbeWarning is raised.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeltaProbeWarning)
+            with pytest.raises(FidelityError, match="k-parity level crossing") as info:
+                sweep_point(ModelParams(n, 0.5, h), Bipartition(n, n // 2),
+                            method=method)
+        assert info.value.h == h
+
+    @pytest.mark.parametrize("method", ["finite-difference", "spectral"])
+    def test_even_n_at_zero_field_is_not_a_crossing(self, method):
+        # For even N the spin flip keeps the k-parity.
+        point = sweep_point(ModelParams(10, 0.5, 0.0), Bipartition(10, 5),
+                            method=method)
+        assert point.chi_g == pytest.approx(4.163, rel=1e-3)
 
     def test_probe_warns_when_step_too_coarse(self):
         with pytest.warns(DeltaProbeWarning):

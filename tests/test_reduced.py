@@ -157,11 +157,15 @@ class TestReduceState:
             assert abs(total - 1.0) <= tol, m
 
     def test_both_parity_sectors_raise(self):
-        # The parity blocks need the state in a single k-parity sector.
+        # The parity blocks need the state in a single k-parity sector, also
+        # when the other sector's weight (1e-18 here) passes the trace check.
         state = ground_state(ModelParams(8, 0.5, 0.7))
-        mixed = replace(state, coefficients=np.full(9, 1.0 / 3.0))
-        with pytest.raises(ReducedDensityError):
-            reduce_state(mixed, Bipartition(8, 4))
+        tiny = state.coefficients.copy()
+        tiny[1] = 1e-9
+        for coefficients in (np.full(9, 1.0 / 3.0), tiny):
+            mixed = replace(state, coefficients=coefficients)
+            with pytest.raises(ReducedDensityError, match="both k-parity sectors"):
+                reduce_state(mixed, Bipartition(8, 4))
 
     def test_size_mismatch_raises(self):
         state = ground_state(ModelParams(8, 0.5, 0.7))
@@ -196,19 +200,19 @@ class TestBipartition:
 
 class TestVonNeumannEntropy:
     def test_maximally_mixed_qubit(self):
-        rho = ReducedDensity(m_sub=1, matrix=np.diag([0.5, 0.5]))
+        rho = ReducedDensity.from_matrix(np.diag([0.5, 0.5]))
         assert von_neumann_entropy(rho) == pytest.approx(np.log(2.0), abs=1e-14)
 
     def test_tiny_eigenvalues_contribute_zero(self):
-        rho = ReducedDensity(m_sub=1, matrix=np.diag([1.0, 0.0]))
+        rho = ReducedDensity.from_matrix(np.diag([1.0, 0.0]))
         assert von_neumann_entropy(rho) == 0.0
         # The 1e-15 mode alone would contribute ~3.5e-14; the cutoff drops
         # it, leaving only the -(1-1e-15) ln(1-1e-15) ~ 1e-15 remainder.
-        rho = ReducedDensity(m_sub=1, matrix=np.diag([1.0 - 1e-15, 1e-15]))
+        rho = ReducedDensity.from_matrix(np.diag([1.0 - 1e-15, 1e-15]))
         assert von_neumann_entropy(rho) < 2e-15
 
     def test_negative_eigenvalue_below_floor_raises(self):
-        rho = ReducedDensity(m_sub=1, matrix=np.diag([1.0 + 1e-8, -1e-8]))
+        rho = ReducedDensity.from_matrix(np.diag([1.0 + 1e-8, -1e-8]))
         with pytest.raises(ReducedDensityError):
             von_neumann_entropy(rho)
 
