@@ -10,6 +10,13 @@ independent routes are provided for reduced (mixed) states:
 
 All fidelity paths use density matrices or absolute overlaps, so
 eigenvector sign flips between neighboring h cannot corrupt results.
+Both routes run per parity block over the windows in which the reduced
+density matrices hold their Schmidt factors (see ``lmglab.reduced``): the
+fidelity over the overlap of two windows, the spectral sum over the union
+of three.  The PSD floor guards only the eigendecomposition of a matrix
+given through ``ReducedDensity.from_matrix``; the windows of ``reduce_state``
+are decomposed by a thin SVD, whose squared singular values are never
+negative.
 """
 
 from __future__ import annotations
@@ -70,16 +77,23 @@ def uhlmann_fidelity(rho: ReducedDensity, sigma: ReducedDensity) -> float:
     eigenvalue-level roundoff (~1e-16 per spurious mode) would bury the
     1 - F ~ chi*delta^2/2 signal under ~1e-8 noise per mode.  Both
     arguments are parity-block diagonal, so sqrt(rho) sqrt(sigma) is too,
-    and the sum runs over the singular values of the two parity blocks.
-    The result is clipped into [0, 1] and is symmetric in its arguments
-    to ~1e-10; arguments of different subsystem size raise ValueError.
+    and the sum runs over the two parity blocks.  Per block, with
+    sqrt(rho_b) = U s U^T from the Schmidt factor's thin SVD, the singular
+    values are those of the core s (U^T U') s', whose middle product runs
+    over the rows where the two windows overlap; rank-r factors make it
+    r x r'.  The result is clipped into [0, 1] and is symmetric in its
+    arguments to ~1e-10; arguments of different subsystem size raise
+    ValueError.
     """
     _check_same_size(rho, sigma)
     fid = 0.0
-    for (w_r, v_r), (w_s, v_s) in zip(rho.blocks, sigma.blocks):
-        # sqrt(rho_b) sqrt(sigma_b) = v_r [sqrt(w_r) (v_r^T v_s) sqrt(w_s)] v_s^T;
-        # the orthogonal outer factors do not change singular values.
-        core = np.sqrt(w_r)[:, None] * (v_r.T @ v_s) * np.sqrt(w_s)[None, :]
+    for (o_r, u_r, w_r), (o_s, u_s, w_s) in zip(rho.spectra, sigma.spectra):
+        # The outer factors U and U'^T are orthonormal and do not change
+        # singular values; rows outside either window contribute nothing.
+        lo = max(o_r, o_s)
+        hi = max(lo, min(o_r + len(u_r), o_s + len(u_s)))
+        overlap = u_r[lo - o_r:hi - o_r].T @ u_s[lo - o_s:hi - o_s]
+        core = np.sqrt(w_r)[:, None] * overlap * np.sqrt(w_s)[None, :]
         fid += float(np.linalg.svd(core, compute_uv=False).sum())
     return min(max(fid, 0.0), 1.0)
 
@@ -142,19 +156,38 @@ def fs_spectral(
     dropped from the first term and pairs with |p_n - p_m| < 1e-10 are
     skipped in the second.  All three matrices are parity-block diagonal,
     so overlaps between the two parity blocks are exactly zero and both
-    sums run over the pairs within each block, with d_rho's block in that
-    block's eigenbasis; arguments of different subsystem size raise
-    ValueError.  ``h`` is the field at the stencil's centre; it only
-    labels the FidelityError raised when chi is not finite.
+    sums run over the pairs within each block.  d_rho is nonzero only on
+    the union of the three windows, so each block's sums run there: rho(h)
+    contributes its decomposition, completed to an orthonormal basis of
+    the union window by null modes (p = 0), and rho(h +- delta) their
+    window blocks, Psi_w Psi_w^T, which are not decomposed.  Arguments of
+    different subsystem size raise ValueError.  ``h`` is the field at the
+    stencil's centre; it only labels the FidelityError raised when chi is
+    not finite.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     _check_same_size(rho_minus, rho, rho_plus)
     chi = 0.0
-    for (w, v), plus, minus in zip(
-        rho.blocks, rho_plus.block_matrices, rho_minus.block_matrices
-    ):
-        overlap = v.T @ ((plus - minus) / (2.0 * delta)) @ v
+    for r, (offset, u, p) in enumerate(rho.spectra):
+        windows = ((offset, u), rho_plus.windows[r], rho_minus.windows[r])
+        spans = [(o, o + len(a)) for o, a in windows if len(a)]
+        if not spans:
+            continue
+        lo = min(start for start, _ in spans)
+        size = max(stop for _, stop in spans) - lo
+        d_rho = (rho_plus.block(r, lo, size) - rho_minus.block(r, lo, size)) / (
+            2.0 * delta
+        )
+
+        modes = np.zeros((size, u.shape[1]))
+        modes[offset - lo:offset - lo + len(u)] = u
+        # Householder QR keeps the first columns (up to sign) and adds an
+        # orthonormal basis of their complement: the null modes.
+        basis = np.linalg.qr(modes, mode="complete")[0]
+        w = np.zeros(size)
+        w[:len(p)] = p
+        overlap = basis.T @ d_rho @ basis
 
         dp = np.diag(overlap)
         occupied = w >= POPULATION_CUTOFF

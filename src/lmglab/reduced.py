@@ -15,9 +15,19 @@ p+k collective excitations fall in block A.  Tracing out B leaves
 an (M+1)x(M+1) real symmetric matrix.  The ground state has support on a
 single k-parity sector s, so Psi[p, k] vanishes unless k = s - p (mod 2):
 rho_A is block diagonal in the parity of p, rho_A = rho_even + rho_odd,
-and its entries at odd p - q are exactly zero.  It is built, stored and
-decomposed as those two blocks, each one product over a quarter of Psi;
-the dense matrix is only embedded on demand.
+and its entries at odd p - q are exactly zero.
+
+Each block keeps its Schmidt factor, the quarter Psi[r::2, c::2] of Psi,
+cut to the contiguous rows and columns whose squared norms exceed
+WINDOW_FLOOR = 1e-30.  Near h = 1 that leaves a few dozen of the M/2 rows
+(56 of 513 at N = 2048, M = 1024, h = 0.97), while the dropped rows carry
+less than (N + 2) * 1e-30 of the trace.  The eigensystem of a block is the
+thin SVD of its window, U s V^T, giving eigenvectors U and eigenvalues
+s^2, so no eigendecomposition of rho_A and no clamp of negative
+eigenvalues is needed on this path; the full-size blocks and the dense
+matrix are only built on demand.  This is the Schmidt decomposition of a
+Dicke state across two blocks (Latorre, Orus, Rico and Vidal, PRA 71,
+064101 (2005)).
 """
 
 from __future__ import annotations
@@ -32,7 +42,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .model import DickeGroundState
 
 TRACE_TOL = 1e-12
-# Eigenvalues of rho_A in [PSD_FLOOR, 0) are clamped to 0; below is a bug.
+# Rows and columns of Psi whose squared norms are at or below this are
+# left out of a block's Schmidt factor.
+WINDOW_FLOOR = 1e-30
+# Eigenvalues of a dense block in [PSD_FLOOR, 0) are clamped to 0; below is a bug.
 PSD_FLOOR = -1e-10
 ENTROPY_CUTOFF = 1e-14
 
@@ -63,12 +76,23 @@ class Bipartition:
 class ReducedDensity:
     """Real symmetric PSD unit-trace matrix of an M-spin subsystem.
 
-    Stored as its two parity blocks rho[r::2, r::2], r = 0 (even p) and 1
-    (odd p); the entries at odd p - q are exactly zero.  The eigendecomposition
-    is taken per block and cached, shared by entropy and fidelity.
+    Held as its two parity blocks rho[r::2, r::2], r = 0 (even p) and 1
+    (odd p); the entries at odd p - q are exactly zero.  Each block is
+    held over a window of its rows, ``windows[r] = (offset, a)``, and is
+    zero outside it.  From ``reduce_state``, ``a`` is the block's Schmidt
+    factor, its quarter of Psi cut to the rows and columns whose squared
+    norms exceed WINDOW_FLOOR, and the block there is a a^T.  From
+    ``from_matrix`` (``dense=True``), ``a`` is the whole block itself.
+    The eigensystem is taken per window and cached, shared by entropy and
+    fidelity: the thin SVD of a Schmidt factor, whose squared singular
+    values cannot be negative, or the eigh of a dense block, the one
+    decomposition the PSD floor guards.  The full-size blocks and the
+    dense matrix are built only when read.
     """
 
-    block_matrices: tuple[np.ndarray, np.ndarray]
+    m_sub: int
+    windows: tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]
+    dense: bool = False
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> ReducedDensity:
@@ -79,11 +103,32 @@ class ReducedDensity:
         matrix = np.asarray(matrix, dtype=float)
         if matrix[0::2, 1::2].any() or matrix[1::2, 0::2].any():
             raise ReducedDensityError("matrix has a nonzero entry at odd p - q")
-        return cls((matrix[0::2, 0::2], matrix[1::2, 1::2]))
+        blocks = ((0, matrix[0::2, 0::2]), (0, matrix[1::2, 1::2]))
+        return cls(len(matrix) - 1, blocks, dense=True)
 
-    @property
-    def m_sub(self) -> int:
-        return sum(len(block) for block in self.block_matrices) - 1
+    def _block_size(self, r: int) -> int:
+        """Number of p = r (mod 2) in 0..M."""
+        return (self.m_sub + 2 - r) // 2
+
+    def block(self, r: int, start: int, size: int) -> np.ndarray:
+        """Rows and columns start .. start + size - 1 of parity block r.
+
+        The range must contain the block's window; the block is zero
+        outside it.  A Schmidt factor a is multiplied out to a a^T here.
+        """
+        offset, a = self.windows[r]
+        if not self.dense:
+            a = a @ a.T
+            a = 0.5 * (a + a.T)
+        matrix = np.zeros((size, size))
+        i = offset - start
+        matrix[i:i + len(a), i:i + len(a)] = a
+        return matrix
+
+    @cached_property
+    def block_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The full-size blocks rho[0::2, 0::2] and rho[1::2, 1::2]; built on first use."""
+        return tuple(self.block(r, 0, self._block_size(r)) for r in (0, 1))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -94,30 +139,44 @@ class ReducedDensity:
         return matrix
 
     @cached_property
-    def _decomposition(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    def _decomposition(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
         blocks = []
-        for block in self.block_matrices:
-            w, v = np.linalg.eigh(block)
-            if w.size and w[0] < PSD_FLOOR:
-                raise ReducedDensityError(
-                    f"min eigenvalue {w[0]:.3e} below floor {PSD_FLOOR:.0e}"
-                )
-            blocks.append((np.clip(w, 0.0, None), v))
+        for offset, a in self.windows:
+            if self.dense:
+                w, v = np.linalg.eigh(a)
+                if w.size and w[0] < PSD_FLOOR:
+                    raise ReducedDensityError(
+                        f"min eigenvalue {w[0]:.3e} below floor {PSD_FLOOR:.0e}"
+                    )
+                blocks.append((offset, v, np.clip(w, 0.0, None)))
+            else:
+                u, s, _ = np.linalg.svd(a, full_matrices=False)
+                blocks.append((offset, u, s * s))
         return tuple(blocks)
 
     @property
-    def blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(eigenvalues, eigenvectors) of the even-p and odd-p blocks.
+    def spectra(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+        """(offset, eigenvectors, eigenvalues) of the even-p and odd-p blocks.
 
-        Eigenvalues ascend within each block, clamped at zero; the
-        eigenvectors are columns over the block's own indices p = r, r+2, ...
+        The eigenvectors are the columns over the block's window, rows
+        offset, offset + 1, ... of the block (p = 2 offset + r, ...); the
+        eigenvalues are the squared singular values of the Schmidt factor,
+        descending, or the clamped ones of a dense block, ascending.  Modes
+        outside these have eigenvalue 0.
         """
         return self._decomposition
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """The even-p block's eigenvalues, ascending, then the odd-p block's."""
-        return np.concatenate([w for w, _ in self._decomposition])
+        """All M+1 eigenvalues: the even-p block's, ascending, then the odd-p block's.
+
+        Each block's list is padded with leading zeros to the block's size.
+        """
+        padded = []
+        for r, (_, _, w) in enumerate(self._decomposition):
+            padded.append(np.zeros(self._block_size(r) - len(w)))
+            padded.append(np.sort(w))
+        return np.concatenate(padded)
 
 
 @lru_cache(maxsize=None)
@@ -185,13 +244,22 @@ def _schmidt_weights(n: int, m_sub: int) -> np.ndarray:
     return table
 
 
+def _span(mask: np.ndarray) -> slice:
+    """The smallest contiguous slice holding every True entry of ``mask``."""
+    hits = np.flatnonzero(mask)
+    return slice(int(hits[0]), int(hits[-1]) + 1) if hits.size else slice(0, 0)
+
+
 def reduce_state(state: DickeGroundState, part: Bipartition) -> ReducedDensity:
     """Trace the ground state down to the m_sub-spin reduced density matrix.
 
     Returns rho_A = Psi Psi^T as its two parity blocks: block r is the
     product of rows p = r (mod 2) and columns k = s - r (mod 2) of Psi, s
-    being the state's k-parity sector, with its transpose, symmetrized as
-    (b + b^T)/2.  The trace is required to be 1 within 1e-12.
+    being the state's k-parity sector, with its transpose.  Each block
+    keeps the Schmidt factor Psi[r::2, c::2] over the contiguous rows and
+    columns whose squared norms exceed WINDOW_FLOOR; the rest carries less
+    than (N + 2) * WINDOW_FLOOR of the trace.  The trace of the full
+    blocks, kept plus dropped mass, is required to be 1 within 1e-12.
     """
     if part.n != state.params.n:
         raise ValueError(
@@ -205,19 +273,23 @@ def reduce_state(state: DickeGroundState, part: Bipartition) -> ReducedDensity:
         )
     hankel = sliding_window_view(state.coefficients, n - m_sub + 1)
     weights = _schmidt_weights(n, m_sub)
-    blocks = []
+    windows = []
+    trace = 0.0
     for r in (0, 1):
         c = (sector - r) % 2
         psi = weights[r::2, c::2] * hankel[r::2, c::2]
-        block = psi @ psi.T
-        blocks.append(0.5 * (block + block.T))
+        row_mass = np.einsum("ij,ij->i", psi, psi)
+        trace += row_mass.sum()
+        rows = _span(row_mass > WINDOW_FLOOR)
+        cols = _span(np.einsum("ij,ij->j", psi[rows], psi[rows]) > WINDOW_FLOOR)
+        windows.append((rows.start, psi[rows, cols].copy()))
 
-    trace_err = abs(blocks[0].trace() + blocks[1].trace() - 1.0)
+    trace_err = abs(trace - 1.0)
     if trace_err > TRACE_TOL:
         raise ReducedDensityError(
             f"trace deviates from 1 by {trace_err:.3e} (n={n}, m_sub={m_sub})"
         )
-    return ReducedDensity(tuple(blocks))
+    return ReducedDensity(m_sub, tuple(windows))
 
 
 def von_neumann_entropy(rho: ReducedDensity) -> float:

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import sqrtm
 
 import lmglab.fidelity
@@ -22,10 +23,12 @@ from lmglab.fidelity import (
 )
 from lmglab.model import ModelParams, ground_state
 from lmglab.reduced import (
+    ENTROPY_CUTOFF,
     PSD_FLOOR,
     Bipartition,
     ReducedDensity,
     ReducedDensityError,
+    _schmidt_weights,
     reduce_state,
     von_neumann_entropy,
 )
@@ -311,7 +314,7 @@ class TestParityBlocks:
 
             chi = fs_spectral(minus, rho, plus, step)
             dense = _dense_spectral(minus, rho, plus, step)
-            (w0, _), (w1, _) = rho.blocks
+            (_, _, w0), (_, _, w1) = rho.spectra
             w0, w1 = w0[w0 >= POPULATION_CUTOFF], w1[w1 >= POPULATION_CUTOFF]
             if np.any(np.abs(w0[:, None] - w1[None, :]) < DEGENERACY_TOL):
                 # An occupied eigenvalue shared by both blocks (N = 8, M = 4,
@@ -339,6 +342,7 @@ class TestParityBlocks:
         fs_spectral(minus, rho, plus, 1e-3)
         for r in (minus, rho, plus):
             assert "matrix" not in vars(r)
+            assert "block_matrices" not in vars(r)
 
     def test_from_matrix_round_trip(self):
         for n, gamma, h in [(16, 0.5, 0.9)] + ODD_SECTOR:
@@ -362,6 +366,43 @@ class TestParityBlocks:
         rho = ReducedDensity.from_matrix(matrix)
         assert rho.eigenvalues.sum() == pytest.approx(1.0, abs=1e-15)
         assert uhlmann_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
+
+
+def _full_reference(n, gamma, h, m_sub):
+    """rho_A = Psi Psi^T from the whole Schmidt matrix, no parity blocks or windows."""
+    state = ground_state(ModelParams(n, gamma, h))
+    hankel = sliding_window_view(state.coefficients, n - m_sub + 1)
+    psi = _schmidt_weights(n, m_sub) * hankel
+    product = psi @ psi.T
+    return 0.5 * (product + product.T)
+
+
+class TestWindowedFactors:
+    """The windowed Schmidt factors against the full dense rho_A = Psi Psi^T."""
+
+    @pytest.mark.parametrize("n, m_sub", [(512, 51), (512, 256), (2048, 204),
+                                          (2048, 1024)])
+    def test_match_full_reference(self, n, m_sub):
+        delta = 1e-3
+        for h in (0.5, 0.8, 0.97, 1.0, 1.1, 1.3):
+            fields = (h - delta, h, h + delta)
+            minus, rho, plus = (_reduced(n, 0.5, x, m_sub) for x in fields)
+            refs = [_full_reference(n, 0.5, x, m_sub) for x in fields]
+            for ours, ref in zip((minus, rho, plus), refs):
+                np.testing.assert_allclose(ours.matrix, ref, rtol=0, atol=1e-14)
+            d_minus, d_rho, d_plus = (ReducedDensity.from_matrix(ref) for ref in refs)
+
+            dense_fid = _dense_uhlmann(d_minus, d_plus)
+            assert uhlmann_fidelity(minus, plus) == pytest.approx(dense_fid, abs=1e-13), h
+
+            dense_chi = _dense_spectral(d_minus, d_rho, d_plus, delta)
+            chi = fs_spectral(minus, rho, plus, delta)
+            assert chi == pytest.approx(dense_chi, rel=1e-10), h
+
+            w = np.linalg.eigvalsh(refs[1])
+            w = w[w > ENTROPY_CUTOFF]
+            dense_entropy = float(-(w * np.log(w)).sum())
+            assert von_neumann_entropy(rho) == pytest.approx(dense_entropy, abs=1e-13), h
 
 
 class TestSweep:

@@ -143,6 +143,16 @@ class TestReduceState:
         assert abs(rho.trace() - 1.0) <= TRACE_TOL
         assert np.array_equal(rho, rho.T)
 
+    @pytest.mark.parametrize("h", [0.97, 1.0, 1.3])
+    def test_windows_are_narrow_near_the_transition(self, h):
+        # Only the rows of Psi with weight above WINDOW_FLOOR are decomposed;
+        # near and above h = 1 that is a few dozen of each block's 513 or 512.
+        rho = reduce_state(ground_state(ModelParams(2048, 0.5, h)),
+                           Bipartition(2048, 1024))
+        for r, (offset, psi) in enumerate(rho.windows):
+            assert 0 <= offset and offset + len(psi) <= (1024 + 2 - r) // 2
+            assert 0 < len(psi) <= 64, (h, r)
+
     def test_invariants_at_n_32768(self):
         # Smoke test of the binomial tables at large N; no timing is asserted.
         n = 32768
