@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
+from lmglab import model
 from lmglab.model import (
+    RESIDUAL_TOL,
     BandedHamiltonian,
     EigensolverError,
     ModelParams,
     _band_arrays,
+    _lowest_block_eigenpair,
     build_hamiltonian,
     energy_density,
     ground_state,
@@ -164,3 +168,105 @@ class TestEnergyDensity:
             for n in (128, 256, 512)
         ]
         assert devs[0] > devs[1] > devs[2]
+
+
+def _full_block_reference(diag, off):
+    """Lowest pair of a symmetric tridiagonal, bisected over all its rows."""
+    if diag.size == 1:
+        return float(diag[0]), np.ones(1)
+    w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    return float(w[0]), v[:, 0]
+
+
+def _assert_same_pair(pair, reference, scale):
+    (energy, vec), (ref_energy, ref_vec) = pair, reference
+    assert abs(energy - ref_energy) <= 1e-14 * scale
+    sign = 1.0 if vec @ ref_vec >= 0.0 else -1.0
+    assert np.abs(vec - sign * ref_vec).max() <= 1e-13
+
+
+class TestWindowedBlockSolve:
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("n", [8, 9, 64, 65, 512, 1024, 4096])
+    def test_matches_full_block(self, n, gamma):
+        for h in (0.0, 0.1, 0.5, 0.8, 0.97, 1.0, 1.03, 1.3, 2.0, 10.0):
+            d, e = _band_arrays(n, gamma, h)
+            scale = BandedHamiltonian(n + 1, d, e).norm_inf()
+            for start in (0, 1):
+                block = d[start::2], e[start::2]
+                _assert_same_pair(
+                    _lowest_block_eigenpair(*block),
+                    _full_block_reference(*block),
+                    scale,
+                )
+
+    def test_ground_state_outside_the_starting_well(self):
+        # The Gershgorin lower edge d_i - |e_{i-1}| - |e_i| is lowest (-2.2)
+        # at row 300, whose strong couplings hold a state near -0.2 only;
+        # the ground state (near -1) sits in the shallow well at row 1700,
+        # outside any window the solve starts from.
+        size = 2000
+        diag = np.full(size, 10.0)
+        off = np.full(size - 1, 0.1)
+        diag[300], off[299], off[300] = 0.0, 1.0, 1.0
+        diag[1700] = -1.0
+        radius = np.zeros(size)
+        radius[:-1] += np.abs(off)
+        radius[1:] += np.abs(off)
+        assert np.argmin(diag - radius) == 300
+        reference = _full_block_reference(diag, off)
+        assert reference[0] < -0.9 and abs(reference[1][1700]) > 0.9
+        _assert_same_pair(
+            _lowest_block_eigenpair(diag, off),
+            reference,
+            float(np.max(np.abs(diag) + radius)),
+        )
+
+    def test_ground_state_wider_than_the_starting_window(self):
+        # A harmonic well with unit hopping: its Gaussian ground state still
+        # holds ~1e-10 at the ends of the starting window (186 rows either
+        # side of the centre), which moves the energy far less than the
+        # certificate resolves, so only the edge floor widens the window.
+        size = 2000
+        diag = 1.43e-6 * (np.arange(size) - 1000.0) ** 2
+        off = np.full(size - 1, -1.0)
+        _assert_same_pair(
+            _lowest_block_eigenpair(diag, off),
+            _full_block_reference(diag, off),
+            float(np.max(diag + 2.0)),
+        )
+
+    @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+    def test_lapack_failure_raises(self, monkeypatch, routine):
+        real = getattr(model, routine)
+
+        def failing(*args, **kwargs):
+            return (*real(*args, **kwargs)[:-1], 1)
+
+        monkeypatch.setattr(model, routine, failing)
+        params = ModelParams(64, 0.5, 0.97)
+        with pytest.raises(EigensolverError) as info:
+            ground_state(params)
+        assert info.value.params == params
+
+
+def _reference_ground_energy(params):
+    # The full-block energy with ground_state's tie-break.
+    d, e = _band_arrays(params.n, params.gamma, params.h)
+    scale = BandedHamiltonian(params.n + 1, d, e).norm_inf()
+    even = _full_block_reference(d[0::2], e[0::2])[0]
+    odd = _full_block_reference(d[1::2], e[1::2])[0]
+    return even if even <= odd + RESIDUAL_TOL * scale else odd
+
+
+class TestLargeN:
+    @pytest.mark.parametrize("h,limit", [(0.5, -0.3125), (1.0, -0.5), (1.5, -0.75)])
+    def test_hundred_thousand_spins(self, h, limit):
+        # Limits from energy_density's docstring: -(1 + h^2)/4 for h <= 1,
+        # -h/2 above.  ground_state itself raises if the residual check fails.
+        params = ModelParams(100_000, 0.5, h)
+        state = ground_state(params)
+        assert state.sector is not None
+        reference = _reference_ground_energy(params)
+        assert abs(state.energy - reference) <= 1e-14 * abs(reference)
+        assert energy_density(state) == pytest.approx(limit, abs=2e-3)
