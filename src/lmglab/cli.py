@@ -20,10 +20,11 @@ replaces the config file's grid in either form.  --tau outside (0, 1]
 and --gamma outside [0, 1] are usage errors.
 
 All four subcommands evaluate the same kind of grid of independent
-points, dispatched to a process pool sized by --jobs; output rows are
-sorted by (N, h, tau, method) after collection, so the result is
-deterministic regardless of scheduling.  Each failed point is named on
-stderr.
+points, one task per (N, h) pair, dispatched to a process pool sized by
+--jobs; a task solves its ground states once for all of its subsystem
+sizes and methods.  Output rows are sorted by (N, h, tau, method) after
+collection, so the result is deterministic regardless of scheduling.
+Each failed point is named on stderr.
 There is no randomness anywhere in the pipeline (--seedless is accepted
 and recorded for provenance, but runs are always seedless).
 """
@@ -39,6 +40,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -382,10 +384,12 @@ def _resolve_m_sub(n: int, tau: float, m_sub: int | None) -> tuple[int, str | No
 # ---------------------------------------------------------------------------
 
 def _evaluate_task(task: tuple) -> list[dict]:
-    n, gamma, h, m_sub, delta, methods = task
-    tau_real = m_sub / n
+    n, gamma, h, m_subs, delta, methods = task
+    # Ground states of this (N, h), shared by every subsystem size and method.
+    states = {}
     rows = []
-    for method in methods:
+    for m_sub, method in product(m_subs, methods):
+        tau_real = m_sub / n
         base = {
             "h": h,
             "N": n,
@@ -410,6 +414,7 @@ def _evaluate_task(task: tuple) -> list[dict]:
                     Bipartition(n, m_sub),
                     delta=delta,
                     method=method,
+                    states=states,
                 )
                 base.update(
                     chi_g=point.chi_g,
@@ -563,8 +568,11 @@ def _col(name: str) -> int:
 # ---------------------------------------------------------------------------
 
 def _tasks(config: SweepConfig) -> tuple[list[tuple], list[str]]:
-    """Grid points (n, gamma, h, m_sub, delta, methods), with M-rounding warnings.
+    """Tasks (n, gamma, h, m_subs, delta, methods), with M-rounding warnings.
 
+    One task per (N, h) pair carries every subsystem size M and every
+    method, and its sweep_point calls share their ground states: each
+    stencil field of the pair is solved once, not once per (M, method).
     sweep-tau takes M from each value of its tau grid; the other commands
     from --m or --tau.  peak-scan evaluates its first numeric method only.
     """
@@ -578,12 +586,14 @@ def _tasks(config: SweepConfig) -> tuple[list[tuple], list[str]]:
     tasks = []
     warnings_list = []
     for n in config.n_list:
+        m_subs = []
         for tau in taus:
             m, warning = _resolve_m_sub(n, tau, m_sub)
             if warning:
                 warnings_list.append(warning)
-            for h in config.h_values:
-                tasks.append((n, config.gamma, h, m, config.delta, methods))
+            m_subs.append(m)
+        for h in config.h_values:
+            tasks.append((n, config.gamma, h, tuple(m_subs), config.delta, methods))
     return tasks, warnings_list
 
 

@@ -214,6 +214,7 @@ def sweep_point(
     delta: float | None = None,
     method: str = "finite-difference",
     probe: bool | None = None,
+    states: dict[ModelParams, DickeGroundState] | None = None,
 ) -> SweepPoint:
     """Global and reduced susceptibility, eta and entropy at one h.
 
@@ -222,6 +223,14 @@ def sweep_point(
     by more than 0.1%.  chi_g always comes from pure-state overlaps;
     ``method`` selects how chi_r is computed from the reduced matrices.
     A stencil across a k-parity level crossing raises FidelityError.
+
+    Each distinct stencil field is solved once per call.  ``states``, if
+    given, holds the ground states by their parameters and is read and
+    filled by this call, so calls that share it (other subsystem sizes
+    or methods at the same N, gamma and h) solve no field twice.  Every
+    lookup, of a state solved here or shared, is checked against the
+    k-parity sector of the first field this call looks up, so a shared
+    dict changes no result and no error.
     """
     if params.n != part.n:
         raise ValueError(f"bipartition n={part.n} does not match params n={params.n}")
@@ -232,18 +241,23 @@ def sweep_point(
     if probe is None:
         probe = use_auto
 
-    # Ground states of this call by field value: the chi_g and chi_r
-    # stencils share their fields, so each distinct h is solved once.
-    states: dict[float, DickeGroundState] = {}
+    # The chi_g and chi_r stencils share their fields.
+    solved = {} if states is None else states
+    first = None  # the state of the first field this call looks up
 
     def state_at(h: float) -> DickeGroundState:
-        if h not in states:
-            states[h] = ground_state(replace(params, h=h))
+        nonlocal first
+        key = replace(params, h=h)
+        if key not in solved:
+            solved[key] = ground_state(key)
+        state = solved[key]
+        if first is None:
+            first = state
+        elif state.sector != first.sector:
             # Across a k-parity level crossing the states are orthogonal.
-            if states[h].sector != next(iter(states.values())).sector:
-                msg = f"stencil field h={h} lies across a k-parity level crossing"
-                raise FidelityError(msg, params.h, step)
-        return states[h]
+            msg = f"stencil field h={h} lies across a k-parity level crossing"
+            raise FidelityError(msg, params.h, step)
+        return state
 
     def coefficients_at(h: float) -> np.ndarray:
         return state_at(h).coefficients

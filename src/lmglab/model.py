@@ -25,6 +25,7 @@ certificate widens; the whole block needs none.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -128,7 +129,7 @@ class DickeGroundState:
     coefficients: np.ndarray
     energy: float
 
-    @property
+    @functools.cached_property
     def sector(self) -> int | None:
         """k-parity (0 or 1) of the support, None if it spans both sectors."""
         even, odd = self.coefficients[0::2].any(), self.coefficients[1::2].any()
@@ -292,6 +293,8 @@ def ground_state(params: ModelParams) -> DickeGroundState:
             f"{RESIDUAL_TOL * scale:.3e}",
             params,
         )
+    # Read-only: the state is shared between calls and caches its sector.
+    coefficients.flags.writeable = False
     return DickeGroundState(params=params, coefficients=coefficients, energy=energy)
 
 

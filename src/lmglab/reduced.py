@@ -229,8 +229,11 @@ def hypergeometric_weight(p: int, two_j: int, two_j1: int, m: int) -> float:
     return math.exp(log_h)
 
 
-# The CLI evaluates all points of one (N, M) pair in a row, so two entries
-# keep its hit rate; more would only hold (M+1) x (N-M+1) tables alive.
+# A CLI task holds one (N, h) and runs its subsystem sizes in turn, so a
+# grid with one M per N hits the cache at every h, while a tau grid
+# rebuilds each (N, M) table once per h, about 0.25 ms at N = 512.  More
+# entries would hold (M+1) x (N-M+1) tables alive: ten at N = 512 take
+# about 3.5 MB.
 @lru_cache(maxsize=2)
 def _schmidt_weights(n: int, m_sub: int) -> np.ndarray:
     """sqrt(H(p; N, M, p+k)) as an (M+1) x (N-M+1) table over p and k."""

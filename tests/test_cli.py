@@ -6,11 +6,16 @@ import os
 import stat
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from lmglab.cli import _pool_size
+import lmglab.fidelity
+from lmglab.cli import _evaluate_task, _pool_size, main
+from lmglab.fidelity import FidelityError, sweep_point
+from lmglab.model import EigensolverError, ModelParams, ground_state
+from lmglab.reduced import Bipartition, ReducedDensityError
 
 HEADER = "h,N,tau,chi_g,chi_r,eta,entropy,method,delta,status"
 GOLDEN = Path(__file__).parent / "data" / "golden_sweep_h.csv"
@@ -602,3 +607,68 @@ def test_outputs_identical_across_jobs(tmp_path, args, files):
         a = strip_timestamps((tmp_path / "a" / name).read_text())
         b = strip_timestamps((tmp_path / "b" / name).read_text())
         assert a == b, name
+
+
+class TestSharedGroundStates:
+    """One task per (N, h): its sweep_point calls share their ground states."""
+
+    METHODS = ("finite-difference", "spectral")
+
+    @pytest.mark.parametrize("h, solves", [
+        (0.8, 7),  # h +- d/2, the probe's h +- d/4, h, and spectral's h +- d
+        (0.0, 3),  # one-sided stencils: 0, d/2 and d
+    ])
+    def test_each_stencil_field_solved_once(self, tmp_path, monkeypatch, h, solves):
+        fields = []
+
+        def counting(params):
+            fields.append(params.h)
+            return ground_state(params)
+
+        monkeypatch.setattr(lmglab.fidelity, "ground_state", counting)
+        code = main(["sweep-tau", "--n", "16", "--gamma", "0.5", "--h-list", repr(h),
+                     "--tau-list", "0.25,0.5,1.0", "--methods", ",".join(self.METHODS),
+                     "--jobs", "1", "--out", str(tmp_path)])
+        assert code == 0
+        rows = json.loads((tmp_path / "sweep_tau.json").read_text())["rows"]
+        assert [r["tau"] for r in rows] == [0.25] * 2 + [0.5] * 2 + [1.0] * 2
+        assert len(fields) == solves
+        assert len(set(fields)) == solves
+
+    @pytest.mark.parametrize("n", [9, 16])
+    @pytest.mark.parametrize("h", [0.0, 0.8, 1.0])
+    def test_rows_equal_fresh_sweep_points(self, n, h):
+        m_subs = (1, n // 2, n - 1, n)
+        rows = _evaluate_task((n, 0.5, h, m_subs, None, self.METHODS))
+        assert len(rows) == len(m_subs) * len(self.METHODS)
+        for row, (m_sub, method) in zip(rows, product(m_subs, self.METHODS)):
+            assert (row["tau"], row["method"]) == (m_sub / n, method)
+            try:
+                point = sweep_point(ModelParams(n, 0.5, h), Bipartition(n, m_sub),
+                                    method=method)
+            except (EigensolverError, ReducedDensityError, FidelityError,
+                    ValueError) as exc:
+                assert row["status"] == f"failed: {exc}"
+                assert all(math.isnan(row[name]) for name in
+                           ("chi_g", "chi_r", "eta", "entropy", "delta"))
+            else:
+                assert row["status"] == "ok"
+                for name in ("chi_g", "chi_r", "eta", "entropy", "delta"):
+                    assert row[name] == getattr(point, name), (m_sub, method, name)
+
+    def test_crossing_fails_every_row_that_shares_the_state(self, tmp_path):
+        # N = 9 at gamma = 0.5 has k-parity level crossings at h = 0 and near
+        # h = 0.1572: the first row at each h solves the crossing state, the
+        # later rows find it shared and must fail the same way.
+        code = main(["sweep-tau", "--n", "9", "--gamma", "0.5", "--h-list", "0,0.157",
+                     "--tau-list", "0.25,0.5,1.0", "--methods", ",".join(self.METHODS),
+                     "--jobs", "1", "--out", str(tmp_path)])
+        assert code == 3
+        rows = json.loads((tmp_path / "sweep_tau.json").read_text())["rows"]
+        assert len(rows) == 2 * 3 * len(self.METHODS)
+        crossing = {0.0: 0.001, 0.157: 0.1575}
+        for row in rows:
+            assert row["status"] == (
+                f"failed: stencil field h={crossing[row['h']]} lies across a k-parity "
+                f"level crossing [h={row['h']}, delta=0.001]"
+            )
