@@ -38,7 +38,6 @@ import os
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -385,7 +384,8 @@ def _resolve_m_sub(n: int, tau: float, m_sub: int | None) -> tuple[int, str | No
 
 def _evaluate_task(task: tuple) -> list[dict]:
     n, gamma, h, m_subs, delta, methods = task
-    # Ground states of this (N, h), shared by every subsystem size and method.
+    # Ground states of this (N, h), shared by every subsystem size and method,
+    # and rho_A(h) per subsystem size, shared by its methods.
     states = {}
     rows = []
     for m_sub, method in product(m_subs, methods):
@@ -447,6 +447,10 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
     if workers <= 1:
         nested = [_evaluate_task(t) for t in tasks]
     else:
+        # Imported here: the pool machinery loads multiprocessing, which a
+        # serial run never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(_evaluate_task, tasks, chunksize=chunk))

@@ -214,7 +214,7 @@ def sweep_point(
     delta: float | None = None,
     method: str = "finite-difference",
     probe: bool | None = None,
-    states: dict[ModelParams, DickeGroundState] | None = None,
+    states: dict | None = None,
 ) -> SweepPoint:
     """Global and reduced susceptibility, eta and entropy at one h.
 
@@ -225,12 +225,13 @@ def sweep_point(
     A stencil across a k-parity level crossing raises FidelityError.
 
     Each distinct stencil field is solved once per call.  ``states``, if
-    given, holds the ground states by their parameters and is read and
-    filled by this call, so calls that share it (other subsystem sizes
-    or methods at the same N, gamma and h) solve no field twice.  Every
-    lookup, of a state solved here or shared, is checked against the
-    k-parity sector of the first field this call looks up, so a shared
-    dict changes no result and no error.
+    given, holds the ground states by their ``ModelParams`` and rho_A(h)
+    by ``(params, part)``, and is read and filled by this call, so calls
+    that share it (other subsystem sizes or methods at the same N, gamma
+    and h) solve no field twice and reduce and decompose rho_A(h) once per
+    subsystem size.  Every lookup, of a state solved here or shared, is
+    checked against the k-parity sector of the first field this call
+    looks up, so a shared dict changes no result and no error.
     """
     if params.n != part.n:
         raise ValueError(f"bipartition n={part.n} does not match params n={params.n}")
@@ -275,7 +276,15 @@ def sweep_point(
             )
 
     def reduced_at(h: float) -> ReducedDensity:
-        return reduce_state(state_at(h), part)
+        state = state_at(h)
+        if h != params.h:
+            return reduce_state(state, part)
+        # rho_A(h), with its cached decomposition, is kept for the calls of
+        # the other methods at this (N, gamma, h, M).
+        key = (params, part)
+        if key not in solved:
+            solved[key] = reduce_state(state, part)
+        return solved[key]
 
     rho_mid = reduced_at(params.h)
     entropy = von_neumann_entropy(rho_mid)

@@ -15,7 +15,7 @@ import lmglab.fidelity
 from lmglab.cli import _evaluate_task, _pool_size, main
 from lmglab.fidelity import FidelityError, sweep_point
 from lmglab.model import EigensolverError, ModelParams, ground_state
-from lmglab.reduced import Bipartition, ReducedDensityError
+from lmglab.reduced import Bipartition, ReducedDensityError, reduce_state
 
 HEADER = "h,N,tau,chi_g,chi_r,eta,entropy,method,delta,status"
 GOLDEN = Path(__file__).parent / "data" / "golden_sweep_h.csv"
@@ -348,6 +348,29 @@ class TestPoolSize:
         assert _pool_size(10**6, 3) == 1
 
 
+# Modules a fresh `import lmglab.cli` must not load: scipy.linalg and what its
+# import drags in (scipy's array-API layer clones numpy, loading numpy.f2py
+# and numpy.testing), other heavy scipy subpackages, and the process pool.
+STARTUP_EXCLUDED = (
+    "scipy.linalg",
+    "scipy.optimize",
+    "scipy._lib._array_api",
+    "numpy.f2py",
+    "numpy.testing",
+    "concurrent.futures.process",
+)
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    src = Path(lmglab.fidelity.__file__).resolve().parents[1]
+    code = ("import json, sys, lmglab.cli; "
+            f"print(json.dumps(sorted(set({STARTUP_EXCLUDED!r}) & set(sys.modules))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_help_exits_zero():
     proc = run_cli("--help")
     assert proc.returncode == 0
@@ -655,6 +678,22 @@ class TestSharedGroundStates:
                 assert row["status"] == "ok"
                 for name in ("chi_g", "chi_r", "eta", "entropy", "delta"):
                     assert row[name] == getattr(point, name), (m_sub, method, name)
+
+    @pytest.mark.parametrize("m_subs", [(32,), (16, 32)])
+    def test_rho_at_h_reduced_once_per_subsystem_size(self, monkeypatch, m_subs):
+        # Per M: rho_A at h +- d/2 (finite difference), h +- d (spectral) and
+        # h itself, which both methods share.
+        calls = []
+
+        def counting(state, part):
+            calls.append((state.params.h, part.m_sub))
+            return reduce_state(state, part)
+
+        monkeypatch.setattr(lmglab.fidelity, "reduce_state", counting)
+        rows = _evaluate_task((64, 0.5, 0.8, m_subs, None, self.METHODS))
+        assert [row["status"] for row in rows] == ["ok"] * len(rows)
+        assert len(calls) == 5 * len(m_subs)
+        assert len(set(calls)) == len(calls)
 
     def test_crossing_fails_every_row_that_shares_the_state(self, tmp_path):
         # N = 9 at gamma = 0.5 has k-parity level crossings at h = 0 and near

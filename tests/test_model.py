@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -248,6 +254,53 @@ class TestWindowedBlockSolve:
         with pytest.raises(EigensolverError) as info:
             ground_state(params)
         assert info.value.params == params
+
+
+def _in_fresh_interpreter(code):
+    src = Path(model.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestLapackDrivers:
+    """model's drivers are the very objects scipy.linalg.lapack exports."""
+
+    # Appended to each script: `lapack` is scipy.linalg.lapack and `loaded`
+    # the _flapack module first registered in sys.modules.
+    CHECK = """
+names = ("dpttrf", "dstebz", "dstein")
+same = [getattr(model, name) is getattr(lapack, name) for name in names]
+module = model._flapack is sys.modules["scipy.linalg._flapack"] is loaded
+print(json.dumps({"same": same, "module": module}))
+"""
+
+    def test_lmglab_imported_first(self):
+        result = _in_fresh_interpreter("""
+import json, sys
+from lmglab import model
+loaded = sys.modules["scipy.linalg._flapack"]
+import scipy.linalg.lapack as lapack
+""" + self.CHECK)
+        assert result == {"same": [True] * 3, "module": True}
+
+    def test_scipy_imported_first(self):
+        # Importing lmglab must load no extension module again.
+        result = _in_fresh_interpreter("""
+import json, sys
+from importlib.machinery import ExtensionFileLoader
+import scipy.linalg.lapack as lapack
+loaded = sys.modules["scipy.linalg._flapack"]
+
+def refuse(self, spec):
+    raise AssertionError(f"{spec.name} loaded a second time")
+
+create, ExtensionFileLoader.create_module = ExtensionFileLoader.create_module, refuse
+from lmglab import model
+ExtensionFileLoader.create_module = create
+""" + self.CHECK)
+        assert result == {"same": [True] * 3, "module": True}
 
 
 def _reference_ground_energy(params):
