@@ -22,19 +22,22 @@ Cauchy interlacing gives E_w >= lambda_min, and one LDL^T factorization
 proves lambda_min > E_w - 1e-12 * ||T||_inf.  A window that fails the
 certificate widens; the whole block needs none.
 
-The three LAPACK drivers are taken from scipy's compiled
-``scipy.linalg._flapack`` extension, loaded directly (``_load_flapack``),
-not through ``scipy.linalg``.  Importing ``scipy.linalg`` runs
+The three LAPACK drivers come from scipy's compiled extension
+``scipy.linalg._flapack``, loaded directly (``_load_flapack``) rather
+than through ``scipy.linalg``, because importing ``scipy.linalg`` costs
+more than a typical command-line run computes.  Its ``__init__`` reaches
 ``scipy._lib._array_api``, whose ``array_api_compat.numpy`` calls
-``clone_module("numpy")`` and so imports every lazy numpy submodule,
-``numpy.f2py``, ``numpy.testing``, ``numpy.ma`` and ``numpy.random``
-among them: about 0.27 s of the 0.40 s this module took to import, while
-the command line's three subcommands at N <= 4096 compute for well under
-a second.  ``import lmglab.cli`` took 0.45-0.56 s with the public import
-and takes 0.20-0.26 s with the direct load (``python -X importtime``,
-cumulative, scipy 1.17, 2-core Intel Xeon).  The objects are the ones
-``scipy.linalg.lapack`` re-exports (it does
-``from scipy.linalg._flapack import *``), in either import order.
+``clone_module("numpy")`` and so imports every lazy numpy submodule:
+``numpy.f2py`` (0.10 s alone), ``numpy.testing``, ``numpy.ma`` and
+``numpy.random``.  In one ``python -X importtime`` run (scipy 1.17.1,
+numpy 2.4.6, 2-core Intel Xeon) ``scipy.linalg`` took 0.29 s of the
+0.30 s this module needed, 0.19 s of it in that clone.  Over 10
+alternating runs, ``import lmglab.cli`` took 0.48-0.60 s (median 0.58 s)
+with ``from scipy.linalg.lapack import ...`` and takes 0.20-0.27 s
+(median 0.22 s) with the direct load.  The drivers are the very objects
+``scipy.linalg.lapack`` re-exports (``from scipy.linalg._flapack import
+*``), whichever of the two is imported first.  There is no fallback: if
+a scipy release moves the extension, importing this module fails.
 """
 
 from __future__ import annotations

@@ -348,29 +348,6 @@ class TestPoolSize:
         assert _pool_size(10**6, 3) == 1
 
 
-# Modules a fresh `import lmglab.cli` must not load: scipy.linalg and what its
-# import drags in (scipy's array-API layer clones numpy, loading numpy.f2py
-# and numpy.testing), other heavy scipy subpackages, and the process pool.
-STARTUP_EXCLUDED = (
-    "scipy.linalg",
-    "scipy.optimize",
-    "scipy._lib._array_api",
-    "numpy.f2py",
-    "numpy.testing",
-    "concurrent.futures.process",
-)
-
-
-def test_cli_import_leaves_heavy_modules_unloaded():
-    src = Path(lmglab.fidelity.__file__).resolve().parents[1]
-    code = ("import json, sys, lmglab.cli; "
-            f"print(json.dumps(sorted(set({STARTUP_EXCLUDED!r}) & set(sys.modules))))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
-
-
 def test_help_exits_zero():
     proc = run_cli("--help")
     assert proc.returncode == 0

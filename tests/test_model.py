@@ -264,6 +264,27 @@ def _in_fresh_interpreter(code):
     return json.loads(proc.stdout)
 
 
+# Modules a fresh `import lmglab.cli` must not load: scipy.linalg and what its
+# import drags in (scipy's array-API layer clones numpy, loading numpy.f2py
+# and numpy.testing), other heavy scipy subpackages, and the process pool.
+STARTUP_EXCLUDED = (
+    "scipy.linalg",
+    "scipy.optimize",
+    "scipy._lib._array_api",
+    "numpy.f2py",
+    "numpy.testing",
+    "concurrent.futures.process",
+)
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    loaded = _in_fresh_interpreter(
+        "import json, sys, lmglab.cli; "
+        f"print(json.dumps(sorted(set({STARTUP_EXCLUDED!r}) & set(sys.modules))))"
+    )
+    assert loaded == []
+
+
 class TestLapackDrivers:
     """model's drivers are the very objects scipy.linalg.lapack exports."""
 
