@@ -38,7 +38,6 @@ from .reduced import (
     Bipartition,
     ReducedDensity,
     ReducedDensityError,
-    hypergeometric_weight,
     reduce_state,
     von_neumann_entropy,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "fs_spectral",
     "greens",
     "ground_state",
-    "hypergeometric_weight",
     "loglog_slope",
     "mu",
     "reduce_state",

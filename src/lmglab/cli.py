@@ -385,7 +385,7 @@ def _resolve_m_sub(n: int, tau: float, m_sub: int | None) -> tuple[int, str | No
 def _evaluate_task(task: tuple) -> list[dict]:
     n, gamma, h, m_subs, delta, methods = task
     # Ground states of this (N, h), shared by every subsystem size and method,
-    # and rho_A(h) per subsystem size, shared by its methods.
+    # and the reduced density matrices per subsystem size, shared by its methods.
     states = {}
     rows = []
     for m_sub, method in product(m_subs, methods):

@@ -13,10 +13,8 @@ eigenvector sign flips between neighboring h cannot corrupt results.
 Both routes run per parity block over the windows in which the reduced
 density matrices hold their Schmidt factors (see ``lmglab.reduced``): the
 fidelity over the overlap of two windows, the spectral sum over the union
-of three.  The PSD floor guards only the eigendecomposition of a matrix
-given through ``ReducedDensity.from_matrix``; the windows of ``reduce_state``
-are decomposed by a thin SVD, whose squared singular values are never
-negative.
+of three.  Each window's eigensystem is the thin SVD of its Schmidt
+factor, whose squared singular values are never negative.
 """
 
 from __future__ import annotations
@@ -225,13 +223,14 @@ def sweep_point(
     A stencil across a k-parity level crossing raises FidelityError.
 
     Each distinct stencil field is solved once per call.  ``states``, if
-    given, holds the ground states by their ``ModelParams`` and rho_A(h)
-    by ``(params, part)``, and is read and filled by this call, so calls
-    that share it (other subsystem sizes or methods at the same N, gamma
-    and h) solve no field twice and reduce and decompose rho_A(h) once per
-    subsystem size.  Every lookup, of a state solved here or shared, is
-    checked against the k-parity sector of the first field this call
-    looks up, so a shared dict changes no result and no error.
+    given, holds the ground states by their ``ModelParams`` and the
+    reduced density matrices by ``(params, part)``, and is read and filled
+    by this call, so calls that share it (other subsystem sizes or methods
+    at the same N, gamma and h) solve no field twice and reduce each field,
+    and decompose rho_A(h), once per subsystem size.  Every lookup, of a
+    state solved here or shared, is checked against the k-parity sector of
+    the first field this call looks up, so a shared dict changes no result
+    and no error.
     """
     if params.n != part.n:
         raise ValueError(f"bipartition n={part.n} does not match params n={params.n}")
@@ -277,11 +276,7 @@ def sweep_point(
 
     def reduced_at(h: float) -> ReducedDensity:
         state = state_at(h)
-        if h != params.h:
-            return reduce_state(state, part)
-        # rho_A(h), with its cached decomposition, is kept for the calls of
-        # the other methods at this (N, gamma, h, M).
-        key = (params, part)
+        key = (state.params, part)
         if key not in solved:
             solved[key] = reduce_state(state, part)
         return solved[key]

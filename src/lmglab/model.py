@@ -52,7 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # Gauge threshold: first coefficient larger than this (in magnitude) is made
-# positive.  Matches the support cutoff used by downstream consumers.
+# positive.  It sits far above roundoff, so the sign is fixed by a
+# coefficient that carries weight, not by noise in an exponential tail.
 GAUGE_EPS = 1e-12
 
 # Accepted relative residual ||H v - E v|| / ||H||_inf of the ground pair.
@@ -152,12 +153,6 @@ class BandedHamiltonian:
         rows[:-2] += np.abs(self.superdiagonal2)
         rows[2:] += np.abs(self.superdiagonal2)
         return float(rows.max())
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.diag(self.diagonal)
-        dense += np.diag(self.superdiagonal2, k=2)
-        dense += np.diag(self.superdiagonal2, k=-2)
-        return dense
 
 
 @dataclass(frozen=True)

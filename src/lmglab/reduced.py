@@ -21,13 +21,11 @@ Each block keeps its Schmidt factor, the quarter Psi[r::2, c::2] of Psi,
 cut to the contiguous rows and columns whose squared norms exceed
 WINDOW_FLOOR = 1e-30.  Near h = 1 that leaves a few dozen of the M/2 rows
 (56 of 513 at N = 2048, M = 1024, h = 0.97), while the dropped rows carry
-less than (N + 2) * 1e-30 of the trace.  The eigensystem of a block is the
-thin SVD of its window, U s V^T, giving eigenvectors U and eigenvalues
-s^2, so no eigendecomposition of rho_A and no clamp of negative
-eigenvalues is needed on this path; the full-size blocks and the dense
-matrix are only built on demand.  This is the Schmidt decomposition of a
-Dicke state across two blocks (Latorre, Orus, Rico and Vidal, PRA 71,
-064101 (2005)).
+less than (N + 2) * 1e-30 of the trace.  The factor is the only form in
+which rho_A is held: the eigensystem of a block is the thin SVD of its
+window, U s V^T, giving eigenvectors U and eigenvalues s^2, which cannot
+be negative.  This is the Schmidt decomposition of a Dicke state across
+two blocks (Latorre, Orus, Rico and Vidal, PRA 71, 064101 (2005)).
 """
 
 from __future__ import annotations
@@ -45,8 +43,6 @@ TRACE_TOL = 1e-12
 # Rows and columns of Psi whose squared norms are at or below this are
 # left out of a block's Schmidt factor.
 WINDOW_FLOOR = 1e-30
-# Eigenvalues of a dense block in [PSD_FLOOR, 0) are clamped to 0; below is a bug.
-PSD_FLOOR = -1e-10
 ENTROPY_CUTOFF = 1e-14
 
 
@@ -77,34 +73,16 @@ class ReducedDensity:
     """Real symmetric PSD unit-trace matrix of an M-spin subsystem.
 
     Held as its two parity blocks rho[r::2, r::2], r = 0 (even p) and 1
-    (odd p); the entries at odd p - q are exactly zero.  Each block is
-    held over a window of its rows, ``windows[r] = (offset, a)``, and is
-    zero outside it.  From ``reduce_state``, ``a`` is the block's Schmidt
-    factor, its quarter of Psi cut to the rows and columns whose squared
-    norms exceed WINDOW_FLOOR, and the block there is a a^T.  From
-    ``from_matrix`` (``dense=True``), ``a`` is the whole block itself.
-    The eigensystem is taken per window and cached, shared by entropy and
-    fidelity: the thin SVD of a Schmidt factor, whose squared singular
-    values cannot be negative, or the eigh of a dense block, the one
-    decomposition the PSD floor guards.  The full-size blocks and the
-    dense matrix are built only when read.
+    (odd p); the entries at odd p - q are exactly zero.  Block r is zero
+    outside a window of its rows, ``windows[r] = (offset, a)``, and is
+    a a^T there: ``a`` is the block's Schmidt factor, its quarter of Psi
+    cut to the rows and columns whose squared norms exceed WINDOW_FLOOR.
+    The eigensystem is the thin SVD of each factor, taken once and cached,
+    shared by entropy and fidelity.
     """
 
     m_sub: int
     windows: tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]
-    dense: bool = False
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> ReducedDensity:
-        """The reduced density of a dense (M+1)x(M+1) matrix.
-
-        Raises ReducedDensityError if an entry at odd p - q is nonzero.
-        """
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix[0::2, 1::2].any() or matrix[1::2, 0::2].any():
-            raise ReducedDensityError("matrix has a nonzero entry at odd p - q")
-        blocks = ((0, matrix[0::2, 0::2]), (0, matrix[1::2, 1::2]))
-        return cls(len(matrix) - 1, blocks, dense=True)
 
     def _block_size(self, r: int) -> int:
         """Number of p = r (mod 2) in 0..M."""
@@ -114,44 +92,21 @@ class ReducedDensity:
         """Rows and columns start .. start + size - 1 of parity block r.
 
         The range must contain the block's window; the block is zero
-        outside it.  A Schmidt factor a is multiplied out to a a^T here.
+        outside it, and a a^T, symmetrized, inside.
         """
         offset, a = self.windows[r]
-        if not self.dense:
-            a = a @ a.T
-            a = 0.5 * (a + a.T)
+        product = a @ a.T
         matrix = np.zeros((size, size))
         i = offset - start
-        matrix[i:i + len(a), i:i + len(a)] = a
-        return matrix
-
-    @cached_property
-    def block_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """The full-size blocks rho[0::2, 0::2] and rho[1::2, 1::2]; built on first use."""
-        return tuple(self.block(r, 0, self._block_size(r)) for r in (0, 1))
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense (M+1)x(M+1) matrix, zero at odd p - q; built on first use."""
-        matrix = np.zeros((self.m_sub + 1,) * 2)
-        for r, block in enumerate(self.block_matrices):
-            matrix[r::2, r::2] = block
+        matrix[i:i + len(a), i:i + len(a)] = 0.5 * (product + product.T)
         return matrix
 
     @cached_property
     def _decomposition(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
         blocks = []
         for offset, a in self.windows:
-            if self.dense:
-                w, v = np.linalg.eigh(a)
-                if w.size and w[0] < PSD_FLOOR:
-                    raise ReducedDensityError(
-                        f"min eigenvalue {w[0]:.3e} below floor {PSD_FLOOR:.0e}"
-                    )
-                blocks.append((offset, v, np.clip(w, 0.0, None)))
-            else:
-                u, s, _ = np.linalg.svd(a, full_matrices=False)
-                blocks.append((offset, u, s * s))
+            u, s, _ = np.linalg.svd(a, full_matrices=False)
+            blocks.append((offset, u, s * s))
         return tuple(blocks)
 
     @property
@@ -161,8 +116,7 @@ class ReducedDensity:
         The eigenvectors are the columns over the block's window, rows
         offset, offset + 1, ... of the block (p = 2 offset + r, ...); the
         eigenvalues are the squared singular values of the Schmidt factor,
-        descending, or the clamped ones of a dense block, ascending.  Modes
-        outside these have eigenvalue 0.
+        descending.  Modes outside these have eigenvalue 0.
         """
         return self._decomposition
 
@@ -201,32 +155,6 @@ def _log_binomials(n: int) -> np.ndarray:
         c = c * (n - k) // (k + 1)
     vals.flags.writeable = False
     return vals
-
-
-def hypergeometric_weight(p: int, two_j: int, two_j1: int, m: int) -> float:
-    """Hypergeometric probability C(2j1, p) C(2j2, m-p) / C(2j, m).
-
-    Here 2j2 = 2j - 2j1.  Out-of-support combinations (m - p < 0 or
-    m - p > 2j2) return 0; malformed argument ranges raise.  Computed in
-    log space so it stays finite far beyond the n ~ 60 overflow point of
-    naive binomials.
-    """
-    if not (0 <= two_j1 <= two_j):
-        raise ValueError(f"need 0 <= two_j1 <= two_j, got {two_j1}, {two_j}")
-    if not (0 <= p <= two_j1):
-        raise ValueError(f"need 0 <= p <= two_j1, got p={p}, two_j1={two_j1}")
-    if not (0 <= m <= two_j):
-        raise ValueError(f"need 0 <= m <= two_j, got m={m}, two_j={two_j}")
-    two_j2 = two_j - two_j1
-    k = m - p
-    if k < 0 or k > two_j2:
-        return 0.0
-    log_h = (
-        _log_binomials(two_j1)[p]
-        + _log_binomials(two_j2)[k]
-        - _log_binomials(two_j)[m]
-    )
-    return math.exp(log_h)
 
 
 # A CLI task holds one (N, h) and runs its subsystem sizes in turn, so a

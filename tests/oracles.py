@@ -3,7 +3,8 @@
 These deliberately avoid the banded/Dicke machinery under test: the
 Hamiltonian is assembled from explicit Pauli kron chains, the symmetric
 sector is reached by projection onto normalized Dicke vectors, and
-reduced matrices come from a literal partial trace.
+reduced matrices come from a literal partial trace.  The dense forms that
+production never builds, and exact hypergeometric weights, live here too.
 
 Conventions: basis index b has spin i on bit (n-1-i), single-spin state
 0 is sigma_z = +1 (up), so a product state with k spins up has
@@ -11,9 +12,15 @@ popcount(b) == n - k.  Subsystem A is the first m_sub spins (the most
 significant bits), matching a C-order reshape into (2^M, 2^(N-M)).
 """
 
+import math
 from functools import lru_cache, reduce
 
 import numpy as np
+
+from lmglab.reduced import ReducedDensity, ReducedDensityError
+
+# The north star's floor: a density matrix may have no eigenvalue below this.
+PSD_FLOOR = -1e-10
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]]) / 2.0
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]]) / 2.0
@@ -46,8 +53,6 @@ def pauli_hamiltonian(n: int, gamma: float, h: float) -> np.ndarray:
 @lru_cache(maxsize=8)
 def dicke_basis(n: int) -> np.ndarray:
     """(2^n, n+1) matrix whose column k is |J, -J+k> (k spins up)."""
-    import math
-
     basis = np.zeros((2**n, n + 1))
     for b in range(2**n):
         k = n - bin(b).count("1")
@@ -79,3 +84,55 @@ def lift_reduced(matrix: np.ndarray) -> np.ndarray:
     m_sub = matrix.shape[0] - 1
     basis = dicke_basis(m_sub)
     return basis @ matrix @ basis.T
+
+
+def dense_hamiltonian(ham) -> np.ndarray:
+    """The (N+1)x(N+1) matrix of a BandedHamiltonian."""
+    off = np.diag(ham.superdiagonal2, k=2)
+    return np.diag(ham.diagonal) + off + off.T
+
+
+def dense_reduced(rho: ReducedDensity) -> np.ndarray:
+    """The (M+1)x(M+1) matrix of rho, checked as a density matrix.
+
+    Zero at odd p - q by construction; asserts symmetry, unit trace within
+    1e-12 and no eigenvalue below PSD_FLOOR.
+    """
+    matrix = np.zeros((rho.m_sub + 1,) * 2)
+    for r in (0, 1):
+        matrix[r::2, r::2] = rho.block(r, 0, len(matrix[r::2]))
+    assert np.array_equal(matrix, matrix.T)
+    assert abs(matrix.trace() - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(matrix)[0] >= PSD_FLOOR
+    return matrix
+
+
+def reduced_from_matrix(matrix) -> ReducedDensity:
+    """A ReducedDensity holding each parity block V diag(w) V^T as V sqrt(w).
+
+    Eigenvalues in [PSD_FLOOR, 0) count as 0.  Raises ReducedDensityError on
+    a nonzero entry at odd p - q or an eigenvalue below PSD_FLOOR.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix[0::2, 1::2].any() or matrix[1::2, 0::2].any():
+        raise ReducedDensityError("matrix has a nonzero entry at odd p - q")
+    windows = []
+    for r in (0, 1):
+        w, v = np.linalg.eigh(matrix[r::2, r::2])
+        if w[0] < PSD_FLOOR:
+            raise ReducedDensityError(f"min eigenvalue {w[0]:.3e} below {PSD_FLOOR}")
+        windows.append((0, v * np.sqrt(np.clip(w, 0.0, None))))
+    return ReducedDensity(len(matrix) - 1, tuple(windows))
+
+
+def hypergeometric(n: int, m_sub: int) -> np.ndarray:
+    """H(p; N, M, m) = C(M, p) C(N - M, m - p) / C(N, m) over p and m.
+
+    A quotient of exact integers, rounded once; 0 where m - p is outside 0..N-M.
+    """
+    table = np.zeros((m_sub + 1, n + 1))
+    for p in range(m_sub + 1):
+        for k in range(n - m_sub + 1):
+            ways = math.comb(m_sub, p) * math.comb(n - m_sub, k)
+            table[p, p + k] = ways / math.comb(n, p + k)
+    return table

@@ -41,6 +41,8 @@ from lmglab.model import ModelParams, build_hamiltonian, ground_state
 from lmglab.reduced import Bipartition, reduce_state, von_neumann_entropy
 
 from oracles import (
+    dense_hamiltonian,
+    dense_reduced,
     lift_reduced,
     lift_to_product_basis,
     partial_trace_first,
@@ -88,7 +90,7 @@ def test_01_spectrum_oracle():
         for gamma in (0.0, 0.5, 1.0):
             for h in (0.0, 0.5, 1.0, 1.5):
                 ham = build_hamiltonian(ModelParams(n, gamma, h))
-                ours = np.linalg.eigvalsh(ham.to_dense())
+                ours = np.linalg.eigvalsh(dense_hamiltonian(ham))
                 oracle = projected_spectrum(n, gamma, h)
                 worst = max(worst, float(np.abs(ours - oracle).max()))
     report(1, "spectrum-vs-pauli-oracle", worst <= 1e-10, f"max |dE| = {worst:.2e}")
@@ -102,7 +104,7 @@ def test_02_reduction_oracle():
             psi = lift_to_product_basis(state.coefficients)
             for m_sub in range(1, n):
                 brute = partial_trace_first(psi, m_sub, n)
-                ours = lift_reduced(reduce_state(state, Bipartition(n, m_sub)).matrix)
+                ours = lift_reduced(dense_reduced(reduce_state(state, Bipartition(n, m_sub))))
                 worst = max(worst, float(np.abs(ours - brute).max()))
     report(2, "reduction-vs-partial-trace", worst <= 1e-10, f"max |drho| = {worst:.2e}")
 
@@ -118,9 +120,9 @@ def test_03_density_matrix_invariants():
         rest = Bipartition(n, n - n // 4)
         for h in hs:
             state = ground_state(ModelParams(n, GAMMA, float(h)))
-            rho = reduce_state(state, half)
-            worst_trace = max(worst_trace, abs(rho.matrix.trace() - 1.0))
-            worst_eig = min(worst_eig, float(np.linalg.eigvalsh(rho.matrix)[0]))
+            rho = dense_reduced(reduce_state(state, half))
+            worst_trace = max(worst_trace, abs(rho.trace() - 1.0))
+            worst_eig = min(worst_eig, float(np.linalg.eigvalsh(rho)[0]))
             # tau = 1/2 makes complement symmetry trivial (M = N - M), so
             # it is exercised on the asymmetric M = N/4 split instead.
             s_a = von_neumann_entropy(reduce_state(state, quarter))

@@ -658,8 +658,8 @@ class TestSharedGroundStates:
 
     @pytest.mark.parametrize("m_subs", [(32,), (16, 32)])
     def test_rho_at_h_reduced_once_per_subsystem_size(self, monkeypatch, m_subs):
-        # Per M: rho_A at h +- d/2 (finite difference), h +- d (spectral) and
-        # h itself, which both methods share.
+        # Per M at h = 0.8: rho_A at h +- d/2 (finite difference), h +- d
+        # (spectral) and h, shared.  At h = 0 both stencils use 0 and d.
         calls = []
 
         def counting(state, part):
@@ -667,10 +667,12 @@ class TestSharedGroundStates:
             return reduce_state(state, part)
 
         monkeypatch.setattr(lmglab.fidelity, "reduce_state", counting)
-        rows = _evaluate_task((64, 0.5, 0.8, m_subs, None, self.METHODS))
-        assert [row["status"] for row in rows] == ["ok"] * len(rows)
-        assert len(calls) == 5 * len(m_subs)
-        assert len(set(calls)) == len(calls)
+        for h, fields in ((0.8, 5), (0.0, 2)):
+            calls.clear()
+            rows = _evaluate_task((64, 0.5, h, m_subs, None, self.METHODS))
+            assert [row["status"] for row in rows] == ["ok"] * len(rows)
+            assert len(calls) == fields * len(m_subs)
+            assert len(set(calls)) == len(calls)
 
     def test_crossing_fails_every_row_that_shares_the_state(self, tmp_path):
         # N = 9 at gamma = 0.5 has k-parity level crossings at h = 0 and near

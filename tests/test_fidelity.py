@@ -24,16 +24,20 @@ from lmglab.fidelity import (
 from lmglab.model import ModelParams, ground_state
 from lmglab.reduced import (
     ENTROPY_CUTOFF,
-    PSD_FLOOR,
     Bipartition,
-    ReducedDensity,
     ReducedDensityError,
     _schmidt_weights,
     reduce_state,
     von_neumann_entropy,
 )
 
-from oracles import partial_trace_first, pauli_hamiltonian
+from oracles import (
+    PSD_FLOOR,
+    dense_reduced,
+    partial_trace_first,
+    pauli_hamiltonian,
+    reduced_from_matrix,
+)
 
 # Ground states in the odd k-parity sector, alongside the even-sector
 # inputs: odd N in the broken phase (N = 9, 15) and gamma = 1 (N = 16).
@@ -41,7 +45,7 @@ ODD_SECTOR = [(9, 0.5, 0.7), (9, 0.5, 0.9), (15, 0.5, 0.3), (16, 1.0, 0.9)]
 
 
 def _rho(diag):
-    return ReducedDensity.from_matrix(np.diag(np.asarray(diag, dtype=float)))
+    return reduced_from_matrix(np.diag(np.asarray(diag, dtype=float)))
 
 
 def _sector(n, gamma, h):
@@ -53,10 +57,10 @@ def _reduced(n, gamma, h, m_sub):
     return reduce_state(ground_state(ModelParams(n, gamma, h)), Bipartition(n, m_sub))
 
 
-# Dense reference: the full-matrix formulas, without the parity blocks.
+# Dense reference: the full-matrix formulas on (M+1)x(M+1) arrays, no parity blocks.
 
-def _dense_eigh(rho):
-    w, v = np.linalg.eigh(rho.matrix)
+def _dense_eigh(matrix):
+    w, v = np.linalg.eigh(matrix)
     assert w[0] >= PSD_FLOOR
     return np.clip(w, 0.0, None), v
 
@@ -70,7 +74,7 @@ def _dense_uhlmann(rho, sigma):
 
 def _dense_spectral(rho_minus, rho, rho_plus, delta):
     w, v = _dense_eigh(rho)
-    overlap = v.T @ ((rho_plus.matrix - rho_minus.matrix) / (2.0 * delta)) @ v
+    overlap = v.T @ ((rho_plus - rho_minus) / (2.0 * delta)) @ v
     dp = np.diag(overlap)
     occupied = w >= POPULATION_CUTOFF
     first = float((dp[occupied] ** 2 / (4.0 * w[occupied])).sum())
@@ -118,8 +122,8 @@ class TestUhlmannFidelity:
     def test_pure_inputs_equal_absolute_overlap(self):
         a = ground_state(ModelParams(16, 0.5, 0.8)).coefficients
         b = ground_state(ModelParams(16, 0.5, 0.9)).coefficients
-        rho_a = ReducedDensity.from_matrix(np.outer(a, a))
-        rho_b = ReducedDensity.from_matrix(np.outer(b, b))
+        rho_a = reduced_from_matrix(np.outer(a, a))
+        rho_b = reduced_from_matrix(np.outer(b, b))
         assert uhlmann_fidelity(rho_a, rho_b) == pytest.approx(
             abs(float(a @ b)), abs=1e-10
         )
@@ -256,21 +260,20 @@ class TestFsSpectral:
         base = _rho([0.4, 0.4, 0.2])
         bump = np.zeros((3, 3))
         bump[0, 2] = bump[2, 0] = 1e-3
-        plus = ReducedDensity.from_matrix(base.matrix + bump)
-        minus = ReducedDensity.from_matrix(base.matrix - bump)
+        plus = reduced_from_matrix(dense_reduced(base) + bump)
+        minus = reduced_from_matrix(dense_reduced(base) - bump)
         chi = fs_spectral(minus, base, plus, 1e-2)
         assert math.isfinite(chi) and chi >= 0.0
 
     def test_error_names_the_point_field(self, monkeypatch):
-        # A NaN on the diagonal of rho(h + delta) makes chi non-finite; the
+        # NaNs in the even block of rho(h + delta) make chi non-finite; the
         # error must carry the point's h, not a placeholder.
         def poisoned(state, part):
             rho = reduce_state(state, part)
             if state.params.h <= 0.9:
                 return rho
-            matrix = rho.matrix.copy()
-            matrix[0, 0] = math.nan
-            return ReducedDensity.from_matrix(matrix)
+            offset, a = rho.windows[0]
+            return replace(rho, windows=((offset, a * math.nan), rho.windows[1]))
 
         monkeypatch.setattr(lmglab.fidelity, "reduce_state", poisoned)
         with pytest.raises(FidelityError) as info:
@@ -297,11 +300,12 @@ class TestParityBlocks:
             lo = max(h - delta, 0.0)
             minus, rho, plus = (_reduced(n, gamma, x, m_sub) for x in (lo, h, h + delta))
             step = 0.5 * (h + delta - lo)
-            w_dense = _dense_eigh(rho)[0]
+            d_minus, d_rho, d_plus = (dense_reduced(x) for x in (minus, rho, plus))
+            w_dense = _dense_eigh(d_rho)[0]
             np.testing.assert_allclose(np.sort(rho.eigenvalues), w_dense,
                                        rtol=0, atol=1e-13)
 
-            fid, dense_fid = uhlmann_fidelity(rho, plus), _dense_uhlmann(rho, plus)
+            fid, dense_fid = uhlmann_fidelity(rho, plus), _dense_uhlmann(d_rho, d_plus)
             if m_sub == n and _sector(n, gamma, h) != _sector(n, gamma, h + delta):
                 # The stencil crosses a level crossing into the other k-parity
                 # sector: rho and sigma are orthogonal pure states.  Per block,
@@ -313,7 +317,7 @@ class TestParityBlocks:
                 assert fid == pytest.approx(dense_fid, abs=1e-13), h
 
             chi = fs_spectral(minus, rho, plus, step)
-            dense = _dense_spectral(minus, rho, plus, step)
+            dense = _dense_spectral(d_minus, d_rho, d_plus, step)
             (_, _, w0), (_, _, w1) = rho.spectra
             w0, w1 = w0[w0 >= POPULATION_CUTOFF], w1[w1 >= POPULATION_CUTOFF]
             if np.any(np.abs(w0[:, None] - w1[None, :]) < DEGENERACY_TOL):
@@ -332,38 +336,23 @@ class TestParityBlocks:
 
     def test_eigenvalue_order(self):
         # The even-p block's eigenvalues ascending, then the odd-p block's.
-        rho = ReducedDensity.from_matrix(np.diag([0.1, 0.4, 0.3, 0.2]))
-        np.testing.assert_array_equal(rho.eigenvalues, [0.1, 0.3, 0.2, 0.4])
-
-    def test_production_path_leaves_matrix_unbuilt(self):
-        minus, rho, plus = (_reduced(16, 0.5, h, 8) for h in (0.899, 0.9, 0.901))
-        von_neumann_entropy(rho)
-        uhlmann_fidelity(minus, plus)
-        fs_spectral(minus, rho, plus, 1e-3)
-        for r in (minus, rho, plus):
-            assert "matrix" not in vars(r)
-            assert "block_matrices" not in vars(r)
-
-    def test_from_matrix_round_trip(self):
-        for n, gamma, h in [(16, 0.5, 0.9)] + ODD_SECTOR:
-            rho = _reduced(n, gamma, h, n // 2)
-            back = ReducedDensity.from_matrix(rho.matrix)
-            assert back.m_sub == rho.m_sub == n // 2
-            for a, b in zip(back.block_matrices, rho.block_matrices, strict=True):
-                assert np.array_equal(a, b)
+        # Squares of dyadic numbers, so the factor's s^2 returns them exactly.
+        rho = _rho([1 / 16, 9 / 16, 1 / 4, 1 / 64])
+        np.testing.assert_array_equal(rho.eigenvalues, [1 / 16, 1 / 4, 1 / 64, 9 / 16])
 
     @pytest.mark.parametrize("entry", [(0, 1), (2, 1), (3, 0)])
     def test_odd_offset_entry_rejected(self, entry):
+        # Hand-made inputs are checked for definite parity when factored.
         matrix = np.diag([0.4, 0.3, 0.2, 0.1])
         matrix[entry] = 1e-3
         with pytest.raises(ReducedDensityError):
-            ReducedDensity.from_matrix(matrix)
+            reduced_from_matrix(matrix)
 
     def test_even_offset_entries_accepted(self):
         matrix = np.diag([0.4, 0.3, 0.2, 0.1])
         matrix[0, 2] = matrix[2, 0] = 1e-3
         matrix[1, 3] = matrix[3, 1] = 1e-3
-        rho = ReducedDensity.from_matrix(matrix)
+        rho = reduced_from_matrix(matrix)
         assert rho.eigenvalues.sum() == pytest.approx(1.0, abs=1e-15)
         assert uhlmann_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
 
@@ -389,13 +378,12 @@ class TestWindowedFactors:
             minus, rho, plus = (_reduced(n, 0.5, x, m_sub) for x in fields)
             refs = [_full_reference(n, 0.5, x, m_sub) for x in fields]
             for ours, ref in zip((minus, rho, plus), refs):
-                np.testing.assert_allclose(ours.matrix, ref, rtol=0, atol=1e-14)
-            d_minus, d_rho, d_plus = (ReducedDensity.from_matrix(ref) for ref in refs)
+                np.testing.assert_allclose(dense_reduced(ours), ref, rtol=0, atol=1e-14)
 
-            dense_fid = _dense_uhlmann(d_minus, d_plus)
+            dense_fid = _dense_uhlmann(refs[0], refs[2])
             assert uhlmann_fidelity(minus, plus) == pytest.approx(dense_fid, abs=1e-13), h
 
-            dense_chi = _dense_spectral(d_minus, d_rho, d_plus, delta)
+            dense_chi = _dense_spectral(*refs, delta)
             chi = fs_spectral(minus, rho, plus, delta)
             assert chi == pytest.approx(dense_chi, rel=1e-10), h
 

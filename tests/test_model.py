@@ -21,7 +21,7 @@ from lmglab.model import (
     ground_state,
 )
 
-from oracles import projected_spectrum
+from oracles import dense_hamiltonian, projected_spectrum
 
 
 class TestModelParams:
@@ -69,7 +69,7 @@ class TestBuildHamiltonian:
 
     def test_spectrum_matches_pauli_oracle(self):
         ham = build_hamiltonian(ModelParams(8, 0.5, 0.7))
-        ours = np.linalg.eigvalsh(ham.to_dense())
+        ours = np.linalg.eigvalsh(dense_hamiltonian(ham))
         oracle = projected_spectrum(8, 0.5, 0.7)
         np.testing.assert_allclose(ours, oracle, atol=1e-10)
 
@@ -80,14 +80,14 @@ class TestBuildHamiltonian:
             plus = BandedHamiltonian(n + 1, *_band_arrays(n, gamma, 1.3))
             minus = BandedHamiltonian(n + 1, *_band_arrays(n, gamma, -1.3))
             np.testing.assert_allclose(
-                np.linalg.eigvalsh(plus.to_dense()),
-                np.linalg.eigvalsh(minus.to_dense()),
+                np.linalg.eigvalsh(dense_hamiltonian(plus)),
+                np.linalg.eigvalsh(dense_hamiltonian(minus)),
                 atol=1e-12,
             )
 
     def test_parity_blocks_decouple(self):
         ham = build_hamiltonian(ModelParams(11, 0.4, 0.9))
-        dense = ham.to_dense()
+        dense = dense_hamiltonian(ham)
         even = dense[0::2][:, 0::2]
         odd = dense[1::2][:, 1::2]
         union = np.sort(
@@ -99,14 +99,15 @@ class TestBuildHamiltonian:
         ham = build_hamiltonian(ModelParams(10, 0.2, 1.1))
         rng_free = np.sin(np.arange(11.0))  # fixed, seedless probe vector
         np.testing.assert_allclose(
-            ham.matvec(rng_free.copy()), ham.to_dense() @ rng_free, atol=1e-13
+            ham.matvec(rng_free.copy()), dense_hamiltonian(ham) @ rng_free,
+            atol=1e-13,
         )
 
 
 class TestGroundState:
     def test_two_spin_energy_matches_direct_eigensolve(self):
         state = ground_state(ModelParams(2, 0.0, 2.0))
-        dense = build_hamiltonian(ModelParams(2, 0.0, 2.0)).to_dense()
+        dense = dense_hamiltonian(build_hamiltonian(ModelParams(2, 0.0, 2.0)))
         assert state.energy == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-12)
 
     def test_polarized_limit(self):
@@ -146,7 +147,7 @@ class TestGroundState:
     def test_energy_matches_dense_reference(self):
         for n, gamma, h in [(7, 0.0, 0.2), (16, 0.9, 1.4), (25, 0.5, 1.0)]:
             state = ground_state(ModelParams(n, gamma, h))
-            dense = build_hamiltonian(ModelParams(n, gamma, h)).to_dense()
+            dense = dense_hamiltonian(build_hamiltonian(ModelParams(n, gamma, h)))
             assert state.energy == pytest.approx(
                 np.linalg.eigvalsh(dense)[0], abs=1e-11
             )

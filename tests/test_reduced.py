@@ -7,17 +7,28 @@ import pytest
 from lmglab.analytic import entropy_analytic
 from lmglab.model import ModelParams, ground_state
 from lmglab.reduced import (
-    TRACE_TOL,
     Bipartition,
-    ReducedDensity,
     ReducedDensityError,
     _log_binomials,
-    hypergeometric_weight,
+    _schmidt_weights,
     reduce_state,
     von_neumann_entropy,
 )
 
-from oracles import lift_reduced, lift_to_product_basis, partial_trace_first
+from oracles import (
+    dense_reduced,
+    hypergeometric,
+    lift_reduced,
+    lift_to_product_basis,
+    partial_trace_first,
+    reduced_from_matrix,
+)
+
+
+def _anti_diagonal_sums(table):
+    """Sums of table[p, k] over p + k = m, for m = 0..N."""
+    p, k = np.indices(table.shape)
+    return np.bincount((p + k).ravel(), table.ravel())
 
 
 class TestLogBinomials:
@@ -33,43 +44,38 @@ class TestLogBinomials:
 
 
 class TestHypergeometricWeight:
+    """The table _schmidt_weights(N, M)[p, k] = sqrt(H(p; N, M, p + k))."""
+
     def test_subsystem_is_everything(self):
-        for m in range(5):
-            for p in range(5):
-                expected = 1.0 if p == m else 0.0
-                assert hypergeometric_weight(p, 4, 4, m) == expected
+        assert np.array_equal(_schmidt_weights(4, 4), np.ones((5, 1)))
 
     def test_direct_binomial_value(self):
         # C(1,0) C(1,1) / C(2,1) = 1/2
-        assert hypergeometric_weight(0, 2, 1, 1) == pytest.approx(0.5, abs=1e-15)
+        assert _schmidt_weights(2, 1)[0, 1] ** 2 == pytest.approx(0.5, abs=1e-15)
 
     def test_out_of_support_is_zero(self):
-        assert hypergeometric_weight(0, 10, 4, 8) == 0.0  # m - p > 2j2
-        assert hypergeometric_weight(4, 10, 4, 2) == 0.0  # m - p < 0
+        # The exact reference the tests sum over every m, in support or not.
+        exact = hypergeometric(10, 4)
+        assert exact[0, 8] == 0.0  # m - p > N - M
+        assert exact[4, 2] == 0.0  # m - p < 0
+        assert exact[2, 4] == 6 * 15 / 210
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            (-1, 10, 4, 2),
-            (5, 10, 4, 2),
-            (2, 10, 12, 2),
-            (0, 10, 4, -1),
-            (0, 10, 4, 11),
-        ],
-    )
-    def test_range_violations_raise(self, args):
-        with pytest.raises(ValueError):
-            hypergeometric_weight(*args)
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 33, 40])
+    def test_entries_match_exact_oracle(self, n):
+        # Each weight is exp of a sum of three log-binomials, each within an
+        # ulp of log C(n, n/2), so the relative error is a few of those ulps.
+        tol = 4 * np.spacing(max(1.0, math.log(math.comb(n, n // 2))))
+        for m_sub in range(1, n + 1):
+            table = _schmidt_weights(n, m_sub)
+            p, k = np.indices(table.shape)
+            exact = np.sqrt(hypergeometric(n, m_sub)[p, p + k])
+            np.testing.assert_allclose(table, exact, rtol=tol, atol=0)
 
     def test_normalization_over_p(self):
-        # Vandermonde: sum_p H(p; 2j, 2j1, m) = 1, including large sizes.
-        for two_j, two_j1 in [(6, 2), (40, 13), (400, 137), (400, 399)]:
-            for m in range(0, two_j + 1, max(1, two_j // 7)):
-                total = sum(
-                    hypergeometric_weight(p, two_j, two_j1, m)
-                    for p in range(two_j1 + 1)
-                )
-                assert abs(total - 1.0) < 1e-12, (two_j, two_j1, m)
+        # Vandermonde: sum_p H(p; N, M, m) = 1, including large sizes.
+        for n, m_sub in [(6, 2), (40, 13), (400, 137), (400, 399)]:
+            totals = _anti_diagonal_sums(_schmidt_weights(n, m_sub) ** 2)
+            assert np.abs(totals - 1.0).max() < 1e-12, (n, m_sub)
 
 
 class TestReduceState:
@@ -77,14 +83,15 @@ class TestReduceState:
         state = ground_state(ModelParams(12, 0.5, 0.7))
         rho = reduce_state(state, Bipartition(12, 12))
         np.testing.assert_allclose(
-            rho.matrix, np.outer(state.coefficients, state.coefficients), atol=1e-13
+            dense_reduced(rho), np.outer(state.coefficients, state.coefficients),
+            atol=1e-13,
         )
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_polarized_limit_single_entry(self):
         # Residual squeezing corrections at h=100 are O((1-gamma)/8h) ~ 6e-4.
         state = ground_state(ModelParams(24, 0.5, 100.0))
-        rho = reduce_state(state, Bipartition(24, 6)).matrix
+        rho = dense_reduced(reduce_state(state, Bipartition(24, 6)))
         assert rho[6, 6] == pytest.approx(1.0, abs=1e-3)
         off = rho.copy()
         off[6, 6] = 0.0
@@ -94,7 +101,7 @@ class TestReduceState:
         state = ground_state(ModelParams(6, 0.5, 0.7))
         psi = lift_to_product_basis(state.coefficients)
         brute = partial_trace_first(psi, 3, 6)
-        ours = lift_reduced(reduce_state(state, Bipartition(6, 3)).matrix)
+        ours = lift_reduced(dense_reduced(reduce_state(state, Bipartition(6, 3))))
         np.testing.assert_allclose(ours, brute, atol=1e-10)
 
     def test_brute_force_grid(self):
@@ -103,7 +110,8 @@ class TestReduceState:
             psi = lift_to_product_basis(state.coefficients)
             for m_sub in range(1, n):
                 brute = partial_trace_first(psi, m_sub, n)
-                ours = lift_reduced(reduce_state(state, Bipartition(n, m_sub)).matrix)
+                rho = reduce_state(state, Bipartition(n, m_sub))
+                ours = lift_reduced(dense_reduced(rho))
                 np.testing.assert_allclose(ours, brute, atol=1e-10)
 
     @pytest.mark.parametrize("h", [0.5, 1.0, 1.5])
@@ -114,12 +122,7 @@ class TestReduceState:
         state = ground_state(ModelParams(n, 0.5, h))
         c = state.coefficients
         for m_sub in [1, 13, 20, 39, 40]:
-            w = np.sqrt(
-                [
-                    [hypergeometric_weight(p, n, m_sub, m) for m in range(n + 1)]
-                    for p in range(m_sub + 1)
-                ]
-            )
+            w = np.sqrt(hypergeometric(n, m_sub))
             ref = np.zeros((m_sub + 1, m_sub + 1))
             for p in range(m_sub + 1):
                 for q in range(m_sub + 1):
@@ -127,21 +130,20 @@ class TestReduceState:
                         c[m] * c[q + m - p] * w[p, m] * w[q, q + m - p]
                         for m in range(max(0, p - q), min(n, n + p - q) + 1)
                     )
-            ours = reduce_state(state, Bipartition(n, m_sub)).matrix
+            ours = dense_reduced(reduce_state(state, Bipartition(n, m_sub)))
             np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-14)
 
     def test_odd_lags_vanish_for_definite_parity(self):
         state = ground_state(ModelParams(256, 0.5, 0.5))
-        rho = reduce_state(state, Bipartition(256, 100)).matrix
+        rho = dense_reduced(reduce_state(state, Bipartition(256, 100)))
         p, q = np.indices(rho.shape)
         assert np.all(rho[(p - q) % 2 == 1] == 0.0)
 
     @pytest.mark.parametrize("h", [0.9, 0.99, 1.1])
     def test_invariants_at_large_n(self, h):
+        # dense_reduced asserts the trace, symmetry, parity and PSD floor.
         state = ground_state(ModelParams(2048, 0.5, h))
-        rho = reduce_state(state, Bipartition(2048, 1024)).matrix
-        assert abs(rho.trace() - 1.0) <= TRACE_TOL
-        assert np.array_equal(rho, rho.T)
+        dense_reduced(reduce_state(state, Bipartition(2048, 1024)))
 
     @pytest.mark.parametrize("h", [0.97, 1.0, 1.3])
     def test_windows_are_narrow_near_the_transition(self, h):
@@ -157,14 +159,12 @@ class TestReduceState:
         # Smoke test of the binomial tables at large N; no timing is asserted.
         n = 32768
         rho = reduce_state(ground_state(ModelParams(n, 0.5, 0.9)), Bipartition(n, 1))
-        assert abs(rho.matrix.trace() - 1.0) <= TRACE_TOL
+        dense_reduced(rho)  # asserts the trace within TRACE_TOL = 1e-12
         # Each weight is exp of a sum of log-binomials, so its relative error
         # is a few ulp of log C(n, m): up to 5.4e-12, at m = 9267, here.
-        log_c = _log_binomials(n)
-        for m in range(n + 1):
-            total = sum(hypergeometric_weight(p, n, 1, m) for p in range(2))
-            tol = max(1e-12, 4 * np.spacing(log_c[m]))
-            assert abs(total - 1.0) <= tol, m
+        totals = _anti_diagonal_sums(_schmidt_weights(n, 1) ** 2)
+        tol = np.maximum(1e-12, 4 * np.spacing(_log_binomials(n)))
+        assert np.all(np.abs(totals - 1.0) <= tol)
 
     def test_both_parity_sectors_raise(self):
         # The parity blocks need the state in a single k-parity sector, also
@@ -186,8 +186,9 @@ class TestReduceState:
         for h in np.linspace(0.2, 1.8, 9):
             state = ground_state(ModelParams(48, 0.3, float(h)))
             rho = reduce_state(state, Bipartition(48, 18))
-            assert abs(rho.matrix.trace() - 1.0) < 1e-12
-            assert np.array_equal(rho.matrix, rho.matrix.T)
+            matrix = dense_reduced(rho)
+            assert abs(matrix.trace() - 1.0) < 1e-12
+            assert np.array_equal(matrix, matrix.T)
             assert rho.eigenvalues[0] >= 0.0
 
     def test_complement_symmetry(self):
@@ -210,21 +211,22 @@ class TestBipartition:
 
 class TestVonNeumannEntropy:
     def test_maximally_mixed_qubit(self):
-        rho = ReducedDensity.from_matrix(np.diag([0.5, 0.5]))
+        rho = reduced_from_matrix(np.diag([0.5, 0.5]))
         assert von_neumann_entropy(rho) == pytest.approx(np.log(2.0), abs=1e-14)
 
     def test_tiny_eigenvalues_contribute_zero(self):
-        rho = ReducedDensity.from_matrix(np.diag([1.0, 0.0]))
+        rho = reduced_from_matrix(np.diag([1.0, 0.0]))
         assert von_neumann_entropy(rho) == 0.0
         # The 1e-15 mode alone would contribute ~3.5e-14; the cutoff drops
         # it, leaving only the -(1-1e-15) ln(1-1e-15) ~ 1e-15 remainder.
-        rho = ReducedDensity.from_matrix(np.diag([1.0 - 1e-15, 1e-15]))
+        rho = reduced_from_matrix(np.diag([1.0 - 1e-15, 1e-15]))
         assert von_neumann_entropy(rho) < 2e-15
 
     def test_negative_eigenvalue_below_floor_raises(self):
-        rho = ReducedDensity.from_matrix(np.diag([1.0 + 1e-8, -1e-8]))
-        with pytest.raises(ReducedDensityError):
-            von_neumann_entropy(rho)
+        # Factors cannot hold a negative eigenvalue; the dense input is
+        # checked against the PSD floor when it is factored.
+        with pytest.raises(ReducedDensityError, match="below"):
+            reduced_from_matrix(np.diag([1.0 + 1e-8, -1e-8]))
 
     def test_matches_closed_form_away_from_transition(self):
         state = ground_state(ModelParams(256, 0.5, 2.0))
