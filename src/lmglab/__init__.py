@@ -1,81 +1,70 @@
 """Exact-diagonalization laboratory for fidelity susceptibility and
-entanglement in the Lipkin-Meshkov-Glick model."""
+entanglement in the Lipkin-Meshkov-Glick model.
 
-from .analytic import (
-    AnalyticPoint,
-    CriticalPointError,
-    IsotropicPointError,
-    alpha,
-    analytic_point,
-    chi_g_analytic,
-    chi_r_analytic,
-    entropy_analytic,
-    greens,
-    loglog_slope,
-    mu,
-    theta0,
-)
-from .fidelity import (
-    FidelityError,
-    SweepPoint,
-    auto_delta,
-    bures_distance_sq,
-    fs_finite_difference,
-    fs_spectral,
-    sweep_point,
-    uhlmann_fidelity,
-)
-from .model import (
-    BandedHamiltonian,
-    DickeGroundState,
-    EigensolverError,
-    ModelParams,
-    build_hamiltonian,
-    energy_density,
-    ground_state,
-)
-from .reduced import (
-    Bipartition,
-    ReducedDensity,
-    ReducedDensityError,
-    reduce_state,
-    von_neumann_entropy,
-)
+The public names load their submodule on first access (PEP 562), so
+``import lmglab`` alone loads no numpy and leaves the environment as it
+is; ``lmglab.cli`` sets the BLAS thread count before it loads numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalyticPoint",
-    "BandedHamiltonian",
-    "Bipartition",
-    "CriticalPointError",
-    "DickeGroundState",
-    "EigensolverError",
-    "FidelityError",
-    "IsotropicPointError",
-    "ModelParams",
-    "ReducedDensity",
-    "ReducedDensityError",
-    "SweepPoint",
-    "alpha",
-    "analytic_point",
-    "auto_delta",
-    "build_hamiltonian",
-    "bures_distance_sq",
-    "chi_g_analytic",
-    "chi_r_analytic",
-    "energy_density",
-    "entropy_analytic",
-    "fs_finite_difference",
-    "fs_spectral",
-    "greens",
-    "ground_state",
-    "loglog_slope",
-    "mu",
-    "reduce_state",
-    "sweep_point",
-    "theta0",
-    "uhlmann_fidelity",
-    "von_neumann_entropy",
-    "__version__",
-]
+_SUBMODULE = {
+    **dict.fromkeys((
+        "AnalyticPoint",
+        "CriticalPointError",
+        "IsotropicPointError",
+        "alpha",
+        "analytic_point",
+        "chi_g_analytic",
+        "chi_r_analytic",
+        "entropy_analytic",
+        "greens",
+        "loglog_slope",
+        "mu",
+        "theta0",
+    ), "analytic"),
+    **dict.fromkeys((
+        "FidelityError",
+        "SweepPoint",
+        "auto_delta",
+        "bures_distance_sq",
+        "fs_finite_difference",
+        "fs_spectral",
+        "sweep_point",
+        "uhlmann_fidelity",
+    ), "fidelity"),
+    **dict.fromkeys((
+        "BandedHamiltonian",
+        "DickeGroundState",
+        "EigensolverError",
+        "ModelParams",
+        "build_hamiltonian",
+        "energy_density",
+        "ground_state",
+    ), "model"),
+    **dict.fromkeys((
+        "Bipartition",
+        "ReducedDensity",
+        "ReducedDensityError",
+        "reduce_state",
+        "von_neumann_entropy",
+    ), "reduced"),
+}
+
+__all__ = sorted(_SUBMODULE) + ["__version__"]
+
+
+def __getattr__(name):
+    try:
+        module = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -25,6 +25,14 @@ points, one task per (N, h) pair, dispatched to a process pool sized by
 sizes and methods.  Output rows are sorted by (N, h, tau, method) after
 collection, so the result is deterministic regardless of scheduling.
 Each failed point is named on stderr.
+
+BLAS runs on one thread: unless the user set a thread-count variable
+(OPENBLAS_NUM_THREADS and the like), this module sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before it loads numpy, and pool
+workers inherit that.  The JSON files record the variables under
+blas_threads.  --jobs defaults to the CPUs this process may run on.
+Outputs are byte-identical across worker counts at a fixed thread count.
+
 There is no randomness anywhere in the pipeline (--seedless is accepted
 and recorded for provenance, but runs are always seedless).
 """
@@ -41,6 +49,25 @@ import time
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
+
+# One BLAS thread unless the user chose a count.  Every BLAS call here is on
+# a window of at most a few hundred rows, where more threads only spin and
+# take cores from the pool.  OpenBLAS reads the count once, when numpy (and,
+# through lmglab.model, scipy's _flapack) loads, so this runs above every
+# import that loads numpy, and only if none has yet.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "BLIS_NUM_THREADS")
+_USER_THREAD_VARS = {name for name in BLAS_THREAD_VARS if name in os.environ}
+if not _USER_THREAD_VARS and "numpy" not in sys.modules:
+    os.environ.update(dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+# The thread variables as numpy found them, for the JSON metadata.
+BLAS_THREADS = {
+    name: {"value": os.environ[name],
+           "set_by": "user" if name in _USER_THREAD_VARS else "lmglab"}
+    if name in os.environ else None
+    for name in BLAS_THREAD_VARS
+}
 
 import numpy as np
 
@@ -188,8 +215,8 @@ _OPTIONS = (
     (_SHARED, "--formats", {"type": _split,
                             "help": f"comma list from {{{','.join(ALL_FORMATS)}}}"}),
     (_SHARED, "--jobs", {"type": int,
-                         "help": "worker processes for the grid, at most one per core and "
-                                 "per task (default: machine parallelism)"}),
+                         "help": "worker processes for the grid, at most one per usable "
+                                 "CPU and per task (default: the usable CPUs)"}),
     (_SHARED, "--skip-errors", {**_SWITCH,
                                 "help": "record failed points and exit 0 instead of 3"}),
     (_SHARED, "--config", {"type": str,
@@ -299,7 +326,7 @@ def config_from_args(args: argparse.Namespace) -> SweepConfig:
                    else ["finite-difference"],
         "out": "out",
         "formats": ["csv", "json"],
-        "jobs": os.cpu_count() or 1,
+        "jobs": _usable_cpus(),
         "skip_errors": False,
         "seedless": False,
         "check": False,
@@ -437,9 +464,16 @@ def _evaluate_task(task: tuple) -> list[dict]:
     return rows
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool_size(jobs: int, n_tasks: int) -> int:
-    """Workers worth starting: no more than requested, cores or tasks."""
-    return min(jobs, os.cpu_count() or 1, n_tasks)
+    """Workers worth starting: no more than requested, usable CPUs or tasks."""
+    return min(jobs, _usable_cpus(), n_tasks)
 
 
 def _run_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
@@ -514,6 +548,7 @@ def write_json(path: Path, rows: list[dict], config: SweepConfig,
         "command": config.command,
         "timestamp": _timestamp(),
         "config": config.echo(),
+        "blas_threads": BLAS_THREADS,
         "warnings": warnings_list,
         "rows": rows,
     }

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+import lmglab.cli
 import lmglab.fidelity
-from lmglab.cli import _evaluate_task, _pool_size, main
+from lmglab.cli import BLAS_THREAD_VARS, _evaluate_task, _pool_size, _usable_cpus, main
 from lmglab.fidelity import FidelityError, sweep_point
 from lmglab.model import EigensolverError, ModelParams, ground_state
 from lmglab.reduced import Bipartition, ReducedDensityError, reduce_state
@@ -21,15 +22,20 @@ HEADER = "h,N,tau,chi_g,chi_r,eta,entropy,method,delta,status"
 GOLDEN = Path(__file__).parent / "data" / "golden_sweep_h.csv"
 
 
-def run_cli(*args, check=False):
+def run_cli(*args, check=False, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "lmglab.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}):\n{proc.stderr}")
     return proc
+
+
+def without_thread_vars() -> dict:
+    return {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
 
 
 def strip_timestamp(text: str) -> str:
@@ -338,13 +344,21 @@ class TestPeakScan:
 
 class TestPoolSize:
     def test_clamped_to_tasks_and_cores(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(lmglab.cli, "_usable_cpus", lambda: 8)
         assert _pool_size(10**6, 3) == 3
         assert _pool_size(10**6, 100) == 8
         assert _pool_size(2, 100) == 2
 
+    def test_affinity_mask_not_installed_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert _usable_cpus() == 1
+        assert _pool_size(10**6, 100) == 1
+
     def test_unknown_core_count_runs_serially(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _usable_cpus() == 1
         assert _pool_size(10**6, 3) == 1
 
 
@@ -597,16 +611,34 @@ def strip_timestamps(text: str) -> str:
     (("peak-scan", "--n", "24,16", "--h-start", "0.6", "--h-stop", "1.2",
       "--h-count", "13", "--methods", "spectral,finite-difference"),
      ("peaks.csv", "peaks.json")),
+    # Large enough that an unpinned OpenBLAS would start threads.
+    (("sweep-h", "--n", "1024", "--h-list", "0.9,1.0,1.1",
+      "--methods", "finite-difference,spectral", "--formats", "csv,json"),
+     ("sweep_h.csv", "sweep_h.json")),
 ])
 def test_outputs_identical_across_jobs(tmp_path, args, files):
-    one = run_cli(*args, "--out", str(tmp_path / "a"), "--jobs", "1", check=True)
-    two = run_cli(*args, "--out", str(tmp_path / "b"), "--jobs", "2", check=True)
+    # At the default thread count: no thread variable in the children.
+    env = without_thread_vars()
+    one = run_cli(*args, "--out", str(tmp_path / "a"), "--jobs", "1", check=True, env=env)
+    two = run_cli(*args, "--out", str(tmp_path / "b"), "--jobs", "2", check=True, env=env)
     assert one.stdout.replace(str(tmp_path / "a"), "") == \
         two.stdout.replace(str(tmp_path / "b"), "")
     for name in files:
         a = strip_timestamps((tmp_path / "a" / name).read_text())
         b = strip_timestamps((tmp_path / "b" / name).read_text())
         assert a == b, name
+
+
+@pytest.mark.parametrize("given, record", [
+    ({}, dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                       {"value": "1", "set_by": "lmglab"})),
+    ({"OMP_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": {"value": "2", "set_by": "user"}}),
+])
+def test_json_records_blas_threads(tmp_path, given, record):
+    run_cli("sweep-h", "--n", "8", "--h-list", "0.5", "--methods", "analytic",
+            "--out", str(tmp_path), check=True, env={**without_thread_vars(), **given})
+    doc = json.loads((tmp_path / "sweep_h.json").read_text())
+    assert doc["blas_threads"] == {k: record.get(k) for k in BLAS_THREAD_VARS}
 
 
 class TestSharedGroundStates:

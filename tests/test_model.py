@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from lmglab import model
+from lmglab.cli import BLAS_THREAD_VARS
 from lmglab.model import (
     RESIDUAL_TOL,
     BandedHamiltonian,
@@ -257,10 +258,16 @@ class TestWindowedBlockSolve:
         assert info.value.params == params
 
 
-def _in_fresh_interpreter(code):
+def _in_fresh_interpreter(code, env=None):
+    """Run code in a new python with lmglab importable; its stdout as JSON.
+
+    env is the child's environment (default: this process's), before the
+    PYTHONPATH entry is added.
+    """
     src = Path(model.__file__).resolve().parents[1]
+    env = os.environ if env is None else env
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+                          env={**env, "PYTHONPATH": str(src)}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -284,6 +291,65 @@ def test_cli_import_leaves_heavy_modules_unloaded():
         f"print(json.dumps(sorted(set({STARTUP_EXCLUDED!r}) & set(sys.modules))))"
     )
     assert loaded == []
+
+
+def _without_thread_vars() -> dict:
+    return {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+
+
+THREAD_REPORT = """
+import json, os
+print(json.dumps({"threads": len(os.listdir("/proc/self/task")),
+                  "vars": {k: os.environ.get(k) for k in BLAS_THREAD_VARS}}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+class TestBlasThreads:
+    """The CLI module runs BLAS on one thread unless the user chose a count."""
+
+    def test_cli_import_pins_one_thread(self):
+        result = _in_fresh_interpreter(
+            "from lmglab.cli import BLAS_THREAD_VARS" + THREAD_REPORT,
+            env=_without_thread_vars(),
+        )
+        assert result["threads"] == 1
+        pinned = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        assert result["vars"] == {k: "1" if k in pinned else None for k in BLAS_THREAD_VARS}
+
+    def test_user_count_is_kept(self):
+        result = _in_fresh_interpreter(
+            "from lmglab.cli import BLAS_THREAD_VARS" + THREAD_REPORT,
+            env={**_without_thread_vars(), "OPENBLAS_NUM_THREADS": "2"},
+        )
+        assert result["vars"] == {k: "2" if k == "OPENBLAS_NUM_THREADS" else None
+                                  for k in BLAS_THREAD_VARS}
+
+    def test_pool_worker_runs_one_thread(self):
+        # At N = 1024 an unpinned OpenBLAS starts a thread in the worker.
+        result = _in_fresh_interpreter("""
+import json, os
+from concurrent.futures import ProcessPoolExecutor
+import lmglab.cli as cli
+with ProcessPoolExecutor(1) as pool:
+    pool.submit(cli._evaluate_task, (1024, 0.5, 0.9, (512,), None, ("spectral",))).result()
+    print(json.dumps(len(pool.submit(os.listdir, "/proc/self/task").result())))
+""", env=_without_thread_vars())
+        assert result == 1
+
+
+def test_package_import_is_lazy():
+    result = _in_fresh_interpreter("""
+import json, os, sys
+before = dict(os.environ)
+import lmglab
+state = {"numpy": "numpy" in sys.modules, "environ": dict(os.environ) == before}
+missing = [name for name in lmglab.__all__ if name not in dir(lmglab)]
+for name in lmglab.__all__:
+    getattr(lmglab, name)
+print(json.dumps({**state, "missing": missing}))
+""", env=_without_thread_vars())
+    assert result == {"numpy": False, "environ": True, "missing": []}
 
 
 class TestLapackDrivers:
