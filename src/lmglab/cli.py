@@ -277,9 +277,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_finite(values: list[float], what: str) -> None:
+    for value in values:
+        if not math.isfinite(value):
+            raise UsageError(f"{what} grid values must be finite, got {value!r}")
+
+
 def _monotone(values: list[float], what: str) -> list[float]:
     if not values:
         raise UsageError(f"empty {what} grid")
+    _check_finite(values, what)
     diffs = np.diff(values)
     if len(values) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise UsageError(f"{what} grid must be strictly monotone")
@@ -296,6 +303,7 @@ def _grid(values: dict, what: str) -> list[float]:
         )
     if count < 1:
         raise UsageError(f"--{what}-count must be >= 1, got {count}")
+    _check_finite([start, stop], what)
     return _monotone([float(x) for x in np.linspace(start, stop, count)], what)
 
 

@@ -13,8 +13,11 @@ eigenvector sign flips between neighboring h cannot corrupt results.
 Both routes run per parity block over the windows in which the reduced
 density matrices hold their Schmidt factors (see ``lmglab.reduced``): the
 fidelity over the overlap of two windows, the spectral sum over the union
-of three.  Each window's eigensystem is the thin SVD of its Schmidt
-factor, whose squared singular values are never negative.
+of three.  The fidelity is the nuclear norm of the product of the two
+factors, which are purifications of the blocks, so it decomposes neither
+matrix; the finite-difference route decomposes only rho(h), for the
+entropy.  The spectral sum uses the eigensystem of rho(h), the thin SVD of
+its Schmidt factors, whose squared singular values are never negative.
 """
 
 from __future__ import annotations
@@ -75,23 +78,27 @@ def uhlmann_fidelity(rho: ReducedDensity, sigma: ReducedDensity) -> float:
     eigenvalue-level roundoff (~1e-16 per spurious mode) would bury the
     1 - F ~ chi*delta^2/2 signal under ~1e-8 noise per mode.  Both
     arguments are parity-block diagonal, so sqrt(rho) sqrt(sigma) is too,
-    and the sum runs over the two parity blocks.  Per block, with
-    sqrt(rho_b) = U s U^T from the Schmidt factor's thin SVD, the singular
-    values are those of the core s (U^T U') s', whose middle product runs
-    over the rows where the two windows overlap; rank-r factors make it
-    r x r'.  The result is clipped into [0, 1] and is symmetric in its
-    arguments to ~1e-10; arguments of different subsystem size raise
-    ValueError.
+    and the sum runs over the two parity blocks.  Per block, the Schmidt
+    factors A and B of rho_b = A A^T and sigma_b = B B^T are purifications
+    (A. Uhlmann, Rep. Math. Phys. 9, 273 (1976); R. Jozsa, J. Mod. Opt.
+    41, 2315 (1994)): with A = U s V^T, sqrt(rho_b) = U s U^T, so the
+    singular values of sqrt(rho_b) sqrt(sigma_b) are those of A^T B, and
+    F_b = ||A_K^T B_K||_*, where A_K and B_K are the factors' rows on the
+    overlap K of their windows.
+    Their columns need not align.  The sum is taken over the singular
+    values of R B_K, with R the triangular factor of A_K^T = Q R, a core
+    of at most K rows; no decomposition of rho or sigma is needed.  The
+    result is clipped into [0, 1] and is symmetric in its arguments to
+    ~1e-10; arguments of different subsystem size raise ValueError.
     """
     _check_same_size(rho, sigma)
     fid = 0.0
-    for (o_r, u_r, w_r), (o_s, u_s, w_s) in zip(rho.spectra, sigma.spectra):
-        # The outer factors U and U'^T are orthonormal and do not change
-        # singular values; rows outside either window contribute nothing.
+    for (o_r, a), (o_s, b) in zip(rho.windows, sigma.windows):
+        # Rows outside either window contribute nothing; Q has orthonormal
+        # columns and does not change singular values.
         lo = max(o_r, o_s)
-        hi = max(lo, min(o_r + len(u_r), o_s + len(u_s)))
-        overlap = u_r[lo - o_r:hi - o_r].T @ u_s[lo - o_s:hi - o_s]
-        core = np.sqrt(w_r)[:, None] * overlap * np.sqrt(w_s)[None, :]
+        hi = max(lo, min(o_r + len(a), o_s + len(b)))
+        core = np.linalg.qr(a[lo - o_r:hi - o_r].T, mode="r") @ b[lo - o_s:hi - o_s]
         fid += float(np.linalg.svd(core, compute_uv=False).sum())
     return min(max(fid, 0.0), 1.0)
 

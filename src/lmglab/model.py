@@ -22,6 +22,12 @@ Cauchy interlacing gives E_w >= lambda_min, and one LDL^T factorization
 proves lambda_min > E_w - 1e-12 * ||T||_inf.  A window that fails the
 certificate widens; the whole block needs none.
 
+Only one block is solved when the other cannot hold the ground state: the
+block of N's parity (which holds k = N, the ground state at large h) is
+solved first, and one ``dpttrf`` of the other, whole block, shifted to
+the first block's energy minus or plus the parity tie-break tolerance,
+proves the other block's lowest eigenvalue lies beyond the tie-break.
+
 The three LAPACK drivers come from scipy's compiled extension
 ``scipy.linalg._flapack``, loaded directly (``_load_flapack``) rather
 than through ``scipy.linalg``, because importing ``scipy.linalg`` costs
@@ -123,8 +129,8 @@ class ModelParams:
             raise ValueError(f"particle count must be >= 2, got {self.n}")
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError(f"anisotropy must lie in [0, 1], got {self.gamma}")
-        if not self.h >= 0.0:
-            raise ValueError(f"field must be >= 0, got {self.h}")
+        if not (math.isfinite(self.h) and self.h >= 0.0):
+            raise ValueError(f"field must be finite and >= 0, got {self.h}")
 
 
 @dataclass(frozen=True)
@@ -220,6 +226,9 @@ def _lowest_pair(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray]:
 
 def _bounded_below(diag: np.ndarray, off: np.ndarray, shift: float) -> bool:
     # True when T - shift * I is positive definite, i.e. lambda_min(T) > shift.
+    if diag.size == 1:
+        # The f2py dpttrf rejects an empty off-diagonal.
+        return bool(diag[0] > shift)
     _, _, info = dpttrf(diag - shift, off, overwrite_d=1)
     if info < 0:
         raise np.linalg.LinAlgError(f"dpttrf returned info={info}")
@@ -293,6 +302,12 @@ def ground_state(params: ModelParams) -> DickeGroundState:
     gamma = 0.5 the splitting changes sign at h = 0.65407 and the sector
     switches at h = 0.65503).  Deep in the broken phase, where the doublet
     is degenerate below machine resolution, the even state is returned.
+    The rule is applied after solving only the block of N's parity when
+    it can be: if one ``dpttrf`` of the other block, shifted to the first
+    block's energy minus the tolerance (first block even) or plus it
+    (first block odd), succeeds, the other block's lowest eigenvalue lies
+    beyond the tie-break and the first block's state is returned without
+    solving the other.  Otherwise both are solved and compared.
 
     Raises
     ------
@@ -303,17 +318,21 @@ def ground_state(params: ModelParams) -> DickeGroundState:
     ham = build_hamiltonian(params)
     d = ham.diagonal
     e = ham.superdiagonal2
+    tol = RESIDUAL_TOL * ham.norm_inf()
+    start = params.n % 2  # the block holding k = N
+    other = 1 - start
     try:
-        energy_even, vec_even = _lowest_block_eigenpair(d[0::2], e[0::2])
-        energy_odd, vec_odd = _lowest_block_eigenpair(d[1::2], e[1::2])
+        energy, block = _lowest_block_eigenpair(d[start::2], e[start::2])
+        # The even block wins ties, so the odd block must be lower by more
+        # than the tolerance to win.
+        shift = energy - tol if start == 0 else energy + tol
+        if not _bounded_below(d[other::2], e[other::2], shift):
+            pairs = {start: (energy, block),
+                     other: _lowest_block_eigenpair(d[other::2], e[other::2])}
+            start = 0 if pairs[0][0] <= pairs[1][0] + tol else 1
+            energy, block = pairs[start]
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise EigensolverError(f"tridiagonal eigensolver failed: {exc}", params) from exc
-
-    scale = ham.norm_inf()
-    if energy_even <= energy_odd + RESIDUAL_TOL * scale:
-        energy, block, start = energy_even, vec_even, 0
-    else:
-        energy, block, start = energy_odd, vec_odd, 1
 
     coefficients = np.zeros(ham.dim)
     coefficients[start::2] = block
@@ -326,10 +345,9 @@ def ground_state(params: ModelParams) -> DickeGroundState:
         coefficients = -coefficients
 
     residual = np.linalg.norm(ham.matvec(coefficients) - energy * coefficients)
-    if not np.isfinite(energy) or residual > RESIDUAL_TOL * scale:
+    if not np.isfinite(energy) or residual > tol:
         raise EigensolverError(
-            f"residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} * ||H|| = "
-            f"{RESIDUAL_TOL * scale:.3e}",
+            f"residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} * ||H|| = {tol:.3e}",
             params,
         )
     # Read-only: the state is shared between calls and caches its sector.

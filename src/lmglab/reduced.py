@@ -21,11 +21,14 @@ Each block keeps its Schmidt factor, the quarter Psi[r::2, c::2] of Psi,
 cut to the contiguous rows and columns whose squared norms exceed
 WINDOW_FLOOR = 1e-30.  Near h = 1 that leaves a few dozen of the M/2 rows
 (56 of 513 at N = 2048, M = 1024, h = 0.97), while the dropped rows carry
-less than (N + 2) * 1e-30 of the trace.  The factor is the only form in
-which rho_A is held: the eigensystem of a block is the thin SVD of its
-window, U s V^T, giving eigenvectors U and eigenvalues s^2, which cannot
-be negative.  This is the Schmidt decomposition of a Dicke state across
-two blocks (Latorre, Orus, Rico and Vidal, PRA 71, 064101 (2005)).
+less than (N + 2) * 1e-30 of the trace.  C is exactly zero outside the
+span [c_lo, c_hi] of its solve window, so Psi is formed only on the box
+of rows and columns that can meet c_lo <= p + k <= c_hi.  The factor is
+the only form in which rho_A is held: the eigensystem of a block is the
+thin SVD of its window, U s V^T, giving eigenvectors U and eigenvalues
+s^2, which cannot be negative.  This is the Schmidt decomposition of a
+Dicke state across two blocks (Latorre, Orus, Rico and Vidal, PRA 71,
+064101 (2005)).
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import DickeGroundState
 
@@ -78,7 +80,8 @@ class ReducedDensity:
     a a^T there: ``a`` is the block's Schmidt factor, its quarter of Psi
     cut to the rows and columns whose squared norms exceed WINDOW_FLOOR.
     The eigensystem is the thin SVD of each factor, taken once and cached,
-    shared by entropy and fidelity.
+    for the entropy and the spectral susceptibility; the fidelity works
+    from the factors themselves.
     """
 
     m_sub: int
@@ -189,8 +192,9 @@ def reduce_state(state: DickeGroundState, part: Bipartition) -> ReducedDensity:
     being the state's k-parity sector, with its transpose.  Each block
     keeps the Schmidt factor Psi[r::2, c::2] over the contiguous rows and
     columns whose squared norms exceed WINDOW_FLOOR; the rest carries less
-    than (N + 2) * WINDOW_FLOOR of the trace.  The trace of the full
-    blocks, kept plus dropped mass, is required to be 1 within 1e-12.
+    than (N + 2) * WINDOW_FLOOR of the trace.  Psi is formed only where
+    C_{p+k} can be nonzero (see the module docstring).  The trace of the
+    full blocks, kept plus dropped mass, is required to be 1 within 1e-12.
     """
     if part.n != state.params.n:
         raise ValueError(
@@ -202,18 +206,37 @@ def reduce_state(state: DickeGroundState, part: Bipartition) -> ReducedDensity:
         raise ReducedDensityError(
             f"state has support on both k-parity sectors (n={n}, m_sub={m_sub})"
         )
-    hankel = sliding_window_view(state.coefficients, n - m_sub + 1)
+    # C vanishes outside [c_lo, c_hi], so Psi[p, k] = 0 unless
+    # c_lo <= p + k <= c_hi: the box below holds every nonzero entry.
+    coefficients = np.ascontiguousarray(state.coefficients)
+    support = _span(coefficients != 0.0)
+    c_lo, c_hi = support.start, support.stop - 1
     weights = _schmidt_weights(n, m_sub)
+    step = 2 * coefficients.itemsize
     windows = []
     trace = 0.0
     for r in (0, 1):
         c = (sector - r) % 2
-        psi = weights[r::2, c::2] * hankel[r::2, c::2]
+        # The box's rows p = r (mod 2) and columns k = c (mod 2).
+        p_lo = max(c_lo - (n - m_sub), 0)
+        p_lo += (p_lo - r) % 2
+        k_lo = max(c_lo - m_sub, 0)
+        k_lo += (k_lo - c) % 2
+        n_rows = max((min(c_hi, m_sub) - p_lo) // 2 + 1, 0)
+        n_cols = max((min(c_hi, n - m_sub) - k_lo) // 2 + 1, 0)
+        # Psi[p_lo + 2i, k_lo + 2j] = weight * C[p_lo + k_lo + 2(i + j)]: a
+        # Hankel slice of C, viewed in place.
+        hankel = np.ndarray(
+            (n_rows, n_cols), buffer=coefficients, strides=(step, step),
+            offset=(p_lo + k_lo) * coefficients.itemsize if n_rows and n_cols else 0,
+        )
+        psi = weights[p_lo:p_lo + 2 * n_rows:2, k_lo:k_lo + 2 * n_cols:2] * hankel
         row_mass = np.einsum("ij,ij->i", psi, psi)
         trace += row_mass.sum()
         rows = _span(row_mass > WINDOW_FLOOR)
         cols = _span(np.einsum("ij,ij->j", psi[rows], psi[rows]) > WINDOW_FLOOR)
-        windows.append((rows.start, psi[rows, cols].copy()))
+        offset = (p_lo - r) // 2 + rows.start if rows.stop else 0
+        windows.append((offset, psi[rows, cols].copy()))
 
     trace_err = abs(trace - 1.0)
     if trace_err > TRACE_TOL:

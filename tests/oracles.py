@@ -10,14 +10,35 @@ Conventions: basis index b has spin i on bit (n-1-i), single-spin state
 0 is sigma_z = +1 (up), so a product state with k spins up has
 popcount(b) == n - k.  Subsystem A is the first m_sub spins (the most
 significant bits), matching a C-order reshape into (2^M, 2^(N-M)).
+
+The routines that production replaced by cheaper ones that must agree
+with them bit for bit, or to roundoff, are kept at the end as references:
+the two-block ground-state solve, the full-quarter reduction and the
+eigen-core Uhlmann fidelity.
 """
 
 import math
 from functools import lru_cache, reduce
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from lmglab.reduced import ReducedDensity, ReducedDensityError
+from lmglab.model import (
+    GAUGE_EPS,
+    RESIDUAL_TOL,
+    DickeGroundState,
+    EigensolverError,
+    _lowest_block_eigenpair,
+    build_hamiltonian,
+)
+from lmglab.reduced import (
+    TRACE_TOL,
+    WINDOW_FLOOR,
+    ReducedDensity,
+    ReducedDensityError,
+    _schmidt_weights,
+    _span,
+)
 
 # The north star's floor: a density matrix may have no eigenvalue below this.
 PSD_FLOOR = -1e-10
@@ -136,3 +157,67 @@ def hypergeometric(n: int, m_sub: int) -> np.ndarray:
             ways = math.comb(m_sub, p) * math.comb(n - m_sub, k)
             table[p, p + k] = ways / math.comb(n, p + k)
     return table
+
+
+def two_block_ground_state(params) -> DickeGroundState:
+    """``ground_state`` solving both parity blocks and comparing them.
+
+    The even block is returned when E_even <= E_odd + RESIDUAL_TOL * ||H||_inf.
+    """
+    ham = build_hamiltonian(params)
+    d, e = ham.diagonal, ham.superdiagonal2
+    energy_even, vec_even = _lowest_block_eigenpair(d[0::2], e[0::2])
+    energy_odd, vec_odd = _lowest_block_eigenpair(d[1::2], e[1::2])
+    scale = ham.norm_inf()
+    if energy_even <= energy_odd + RESIDUAL_TOL * scale:
+        energy, block, start = energy_even, vec_even, 0
+    else:
+        energy, block, start = energy_odd, vec_odd, 1
+    coefficients = np.zeros(ham.dim)
+    coefficients[start::2] = block
+    coefficients /= np.linalg.norm(coefficients)
+    support = np.flatnonzero(np.abs(coefficients) > GAUGE_EPS)
+    if coefficients[support[0]] < 0.0:
+        coefficients = -coefficients
+    residual = np.linalg.norm(ham.matvec(coefficients) - energy * coefficients)
+    if residual > RESIDUAL_TOL * scale:
+        raise EigensolverError(f"residual {residual:.3e}", params)
+    return DickeGroundState(params=params, coefficients=coefficients, energy=energy)
+
+
+def full_quarter_reduce(state: DickeGroundState, n: int, m_sub: int) -> ReducedDensity:
+    """``reduce_state`` forming each parity block's whole quarter of Psi.
+
+    The quarter Psi[r::2, c::2] over all p and k is cut to the rows and
+    columns whose squared norms exceed WINDOW_FLOOR.
+    """
+    hankel = sliding_window_view(state.coefficients, n - m_sub + 1)
+    weights = _schmidt_weights(n, m_sub)
+    windows = []
+    trace = 0.0
+    for r in (0, 1):
+        c = (state.sector - r) % 2
+        psi = weights[r::2, c::2] * hankel[r::2, c::2]
+        row_mass = np.einsum("ij,ij->i", psi, psi)
+        trace += row_mass.sum()
+        rows = _span(row_mass > WINDOW_FLOOR)
+        cols = _span(np.einsum("ij,ij->j", psi[rows], psi[rows]) > WINDOW_FLOOR)
+        windows.append((rows.start, psi[rows, cols].copy()))
+    assert abs(trace - 1.0) <= TRACE_TOL
+    return ReducedDensity(m_sub, tuple(windows))
+
+
+def eigen_core_fidelity(rho: ReducedDensity, sigma: ReducedDensity) -> float:
+    """Uhlmann fidelity from each block's eigensystem, U s V^T = thin SVD of A.
+
+    Per block, the nuclear norm of the core s (U^T U') s', whose middle
+    product runs over the rows where the two windows overlap.
+    """
+    fid = 0.0
+    for (o_r, u_r, w_r), (o_s, u_s, w_s) in zip(rho.spectra, sigma.spectra):
+        lo = max(o_r, o_s)
+        hi = max(lo, min(o_r + len(u_r), o_s + len(u_s)))
+        overlap = u_r[lo - o_r:hi - o_r].T @ u_s[lo - o_s:hi - o_s]
+        core = np.sqrt(w_r)[:, None] * overlap * np.sqrt(w_s)[None, :]
+        fid += float(np.linalg.svd(core, compute_uv=False).sum())
+    return min(max(fid, 0.0), 1.0)

@@ -573,6 +573,23 @@ class TestRangeChecks:
         assert proc.returncode == 1
         assert "grid must be strictly monotone" in proc.stderr
 
+    @pytest.mark.parametrize("grid, value", [
+        (("--h-list", "inf"), "inf"),
+        (("--h-list", "nan"), "nan"),
+        (("--h-start", "0.5", "--h-stop", "inf", "--h-count", "3"), "inf"),
+    ])
+    def test_non_finite_h_grid_usage_error(self, tmp_path, grid, value):
+        proc = run_cli("sweep-h", "--n", "8", *grid, "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stderr.strip() == f"lmglab: error: h grid values must be finite, got {value}"
+        assert not (tmp_path / "sweep_h.csv").exists()
+
+    def test_non_finite_tau_grid_usage_error(self, tmp_path):
+        proc = run_cli("sweep-tau", "--n", "8", "--h-list", "0.5", "--tau-start", "0.5",
+                       "--tau-stop", "nan", "--tau-count", "2", "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stderr.strip() == "lmglab: error: tau grid values must be finite, got nan"
+
     def test_tau_grid_range_error(self, tmp_path):
         proc = run_cli("sweep-tau", "--n", "8", "--h-list", "0.5", "--tau-list", "-1",
                        "--out", str(tmp_path))

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import sqrtm
 
 import lmglab.fidelity
+import lmglab.model
 from lmglab.fidelity import (
     DEGENERACY_TOL,
     POPULATION_CUTOFF,
@@ -25,6 +27,7 @@ from lmglab.model import ModelParams, ground_state
 from lmglab.reduced import (
     ENTROPY_CUTOFF,
     Bipartition,
+    ReducedDensity,
     ReducedDensityError,
     _schmidt_weights,
     reduce_state,
@@ -34,6 +37,7 @@ from lmglab.reduced import (
 from oracles import (
     PSD_FLOOR,
     dense_reduced,
+    eigen_core_fidelity,
     partial_trace_first,
     pauli_hamiltonian,
     reduced_from_matrix,
@@ -393,6 +397,49 @@ class TestWindowedFactors:
             assert von_neumann_entropy(rho) == pytest.approx(dense_entropy, abs=1e-13), h
 
 
+class TestFactorFidelity:
+    """The Uhlmann fidelity from the Schmidt factors against the eigen-core."""
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512])
+    def test_fig1_grid(self, n):
+        part = Bipartition(n, n // 2)
+        for h in np.linspace(0.8, 1.2, 41):
+            delta = auto_delta(h)
+            lo, hi = (_reduced(n, 0.5, h + s * delta, n // 2) for s in (-0.5, 0.5))
+            assert abs(uhlmann_fidelity(lo, hi) - eigen_core_fidelity(lo, hi)) <= 1e-14, h
+
+    @pytest.mark.parametrize("h", [0.5, 0.97, 1.0, 1.5])
+    def test_single_spin_at_n_4096(self, h):
+        # Each block's factor is one row of about N/2 Schmidt columns.
+        lo, hi = (_reduced(4096, 0.5, h + s * 5e-4, 1) for s in (-1, 1))
+        assert max(len(a) for _, a in lo.windows) == 1
+        assert abs(uhlmann_fidelity(lo, hi) - eigen_core_fidelity(lo, hi)) <= 1e-14
+
+    @pytest.mark.parametrize("n, gamma, h", [(64, 0.5, 0.9), (65, 0.5, 1.1), (512, 0.5, 1.0),
+                                             (16, 1.0, 0.9)])
+    def test_whole_system(self, n, gamma, h):
+        lo, hi = (_reduced(n, gamma, h + s * 5e-4, n) for s in (-1, 1))
+        assert abs(uhlmann_fidelity(lo, hi) - eigen_core_fidelity(lo, hi)) <= 1e-14
+
+    def test_disjoint_windows(self):
+        # Rows 0-1 against rows 3-4 of each block: no overlap, F = 0.
+        factor = np.array([[0.6, 0.1], [0.3, 0.2]])
+        rho = ReducedDensity(9, ((0, factor), (0, factor)))
+        sigma = ReducedDensity(9, ((3, factor), (3, factor.T)))
+        assert uhlmann_fidelity(rho, sigma) == eigen_core_fidelity(rho, sigma) == 0.0
+
+    def test_partly_overlapping_windows(self):
+        # Rows 2-7 against rows 5-9, with different column counts, both ways.
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(6, 4)), rng.normal(size=(5, 7))
+        empty = (0, np.zeros((0, 0)))
+        rho = ReducedDensity(20, ((2, a / np.linalg.norm(a)), empty))
+        sigma = ReducedDensity(20, ((5, b / np.linalg.norm(b)), empty))
+        for pair in ((rho, sigma), (sigma, rho)):
+            assert uhlmann_fidelity(*pair) == pytest.approx(
+                eigen_core_fidelity(*pair), abs=1e-14)
+
+
 class TestSweep:
     """sweep_point over a grid of fields, one call per point."""
 
@@ -485,6 +532,35 @@ class TestStencilSharing:
                     probe=probe)
         assert len(solved_fields) == solves
         assert len(set(solved_fields)) == solves
+
+    def test_one_block_solve_per_field(self, monkeypatch):
+        # Five fields (h, h +- delta/2, h +- delta/4), one parity block each.
+        sizes = []
+        real = lmglab.model._lowest_block_eigenpair
+
+        def counting(diag, off):
+            sizes.append(diag.size)
+            return real(diag, off)
+
+        monkeypatch.setattr(lmglab.model, "_lowest_block_eigenpair", counting)
+        sweep_point(ModelParams(64, 0.5, 1.0), Bipartition(64, 32))
+        assert sizes == [33] * 5
+
+    def test_one_decomposition_per_point(self, monkeypatch):
+        # The fidelity works from the Schmidt factors; only rho_A(h) is
+        # decomposed, for the entropy.
+        decomposed = []
+        prop = ReducedDensity.__dict__["_decomposition"]
+
+        def counting(rho):
+            decomposed.append(rho)
+            return prop.func(rho)
+
+        counted = cached_property(counting)
+        counted.__set_name__(ReducedDensity, "_decomposition")
+        monkeypatch.setattr(ReducedDensity, "_decomposition", counted)
+        sweep_point(ModelParams(64, 0.5, 1.0), Bipartition(64, 32))
+        assert len(decomposed) == 1
 
     @pytest.mark.parametrize("h", [0.0, 0.8])
     def test_values_equal_fresh_solves(self, h):

@@ -22,7 +22,7 @@ from lmglab.model import (
     ground_state,
 )
 
-from oracles import dense_hamiltonian, projected_spectrum
+from oracles import dense_hamiltonian, projected_spectrum, two_block_ground_state
 
 
 class TestModelParams:
@@ -44,6 +44,11 @@ class TestModelParams:
     def test_out_of_range_rejected(self, n, gamma, h):
         with pytest.raises(ValueError):
             ModelParams(n, gamma, h)
+
+    @pytest.mark.parametrize("h", [-0.2, float("nan"), float("inf")])
+    def test_field_error_names_the_value(self, h):
+        with pytest.raises(ValueError, match=f"field must be finite and >= 0, got {h}"):
+            ModelParams(8, 0.5, h)
 
     def test_non_integer_n_rejected(self):
         with pytest.raises(ValueError):
@@ -256,6 +261,76 @@ class TestWindowedBlockSolve:
         with pytest.raises(EigensolverError) as info:
             ground_state(params)
         assert info.value.params == params
+
+
+# N = 2..40 and the pairs 2^k - 1, 2^k up to 1024; h on [0, 1.5] and deep in
+# the polarized phase.
+TIE_BREAK_SIZES = list(range(2, 41)) + [x for k in range(6, 11) for x in (2**k - 1, 2**k)]
+TIE_BREAK_FIELDS = [float(h) for h in np.linspace(0.0, 1.5, 151)] + [10.0]
+
+
+def _assert_same_state(params):
+    ours, reference = ground_state(params), two_block_ground_state(params)
+    assert np.array_equal(ours.coefficients, reference.coefficients), params
+    assert ours.energy == reference.energy, params
+    assert ours.sector == reference.sector, params
+
+
+class TestOneBlockSolve:
+    """ground_state solves the other parity block only when it may hold the state."""
+
+    @pytest.mark.parametrize("n", TIE_BREAK_SIZES)
+    def test_matches_two_block_solve(self, n):
+        for gamma in (0.0, 0.5, 0.99, 1.0):
+            for h in TIE_BREAK_FIELDS:
+                _assert_same_state(ModelParams(n, gamma, h))
+
+    def test_matches_two_block_solve_at_the_crossing(self):
+        # At N = 40, gamma = 0.5 the splitting changes sign at h = 0.65407 and
+        # the returned sector switches at h = 0.65503, where the odd state
+        # leads by the tie-break tolerance.
+        sectors = set()
+        for h in np.linspace(0.6540, 0.6551, 45):
+            params = ModelParams(40, 0.5, float(h))
+            _assert_same_state(params)
+            sectors.add(ground_state(params).sector)
+        assert sectors == {0, 1}
+
+    @pytest.mark.parametrize("n", [3, 9, 15, 33, 63])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_matches_two_block_solve_at_zero_field(self, n, gamma):
+        # An exact level crossing of the two sectors at odd N.
+        _assert_same_state(ModelParams(n, gamma, 0.0))
+
+    @pytest.mark.parametrize("gamma, h", [(0.0, 0.3), (0.5, 2.0), (1.0, 0.0)])
+    def test_two_spins(self, gamma, h):
+        # The odd block is the single row k = 1.
+        _assert_same_state(ModelParams(2, gamma, h))
+
+    @pytest.fixture
+    def block_solves(self, monkeypatch):
+        sizes = []
+        real = model._lowest_block_eigenpair
+
+        def counting(diag, off):
+            sizes.append(diag.size)
+            return real(diag, off)
+
+        monkeypatch.setattr(model, "_lowest_block_eigenpair", counting)
+        return sizes
+
+    @pytest.mark.parametrize("h", [0.3, 1.0, 1.5])
+    def test_one_block_when_the_other_is_certified_higher(self, block_solves, h):
+        ground_state(ModelParams(64, 0.5, h))
+        assert block_solves == [33]
+
+    def test_both_blocks_when_the_odd_one_leads(self, block_solves):
+        # N = 40, gamma = 0.5, h = 0.656: the odd state lies below the even
+        # one by more than the tie-break, so the even block's certificate
+        # fails and the odd block is solved and returned.
+        state = ground_state(ModelParams(40, 0.5, 0.656))
+        assert block_solves == [21, 20]
+        assert state.sector == 1
 
 
 def _in_fresh_interpreter(code, env=None):

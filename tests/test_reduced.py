@@ -17,6 +17,7 @@ from lmglab.reduced import (
 
 from oracles import (
     dense_reduced,
+    full_quarter_reduce,
     hypergeometric,
     lift_reduced,
     lift_to_product_basis,
@@ -197,6 +198,23 @@ class TestReduceState:
             s_a = von_neumann_entropy(reduce_state(state, Bipartition(10, m_sub)))
             s_b = von_neumann_entropy(reduce_state(state, Bipartition(10, 10 - m_sub)))
             assert abs(s_a - s_b) < 1e-8
+
+
+class TestBoxFormation:
+    """reduce_state forms Psi only where C is nonzero, with the same factors."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 512, 513, 2048])
+    def test_matches_full_quarter(self, n):
+        for gamma, h in [(0.5, 0.0), (0.5, 0.5), (0.5, 0.97), (0.5, 1.0), (0.5, 1.3),
+                         (0.5, 10.0), (1.0, 0.9), (0.0, 0.2)]:
+            state = ground_state(ModelParams(n, gamma, h))
+            for m_sub in sorted({1, max(n // 10, 1), max(n // 2, 1), n - 1, n}):
+                ours = reduce_state(state, Bipartition(n, m_sub)).windows
+                reference = full_quarter_reduce(state, n, m_sub).windows
+                for (offset, factor), (ref_offset, ref_factor) in zip(ours, reference):
+                    assert offset == ref_offset, (n, gamma, h, m_sub)
+                    assert np.array_equal(factor, ref_factor), (n, gamma, h, m_sub)
+                    assert factor.shape == ref_factor.shape, (n, gamma, h, m_sub)
 
 
 class TestBipartition:
