@@ -60,14 +60,17 @@ class AnalyticPoint:
 
 def theta0(h: float) -> float:
     """Mean-field rotation angle: arccos h in the broken phase, else 0."""
-    if h < 0.0:
-        raise ValueError(f"field must be >= 0, got {h}")
+    _check_field(h)
     return math.acos(h) if h <= 1.0 else 0.0
 
 
+def _check_field(h: float) -> None:
+    if not (math.isfinite(h) and h >= 0.0):
+        raise ValueError(f"field must be finite and >= 0, got {h}")
+
+
 def _check_point_args(h: float, gamma: float) -> None:
-    if h < 0.0:
-        raise ValueError(f"field must be >= 0, got {h}")
+    _check_field(h)
     if not (0.0 <= gamma < 1.0):
         if gamma == 1.0:
             raise IsotropicPointError("gamma = 1 is singular for the closed forms")

@@ -17,7 +17,9 @@ of three.  The fidelity is the nuclear norm of the product of the two
 factors, which are purifications of the blocks, so it decomposes neither
 matrix; the finite-difference route decomposes only rho(h), for the
 entropy.  The spectral sum uses the eigensystem of rho(h), the thin SVD of
-its Schmidt factors, whose squared singular values are never negative.
+its Schmidt factors, whose squared singular values are never negative, and
+applies d_rho to its modes through the factors of rho(h +- delta): no
+route forms a density matrix as a dense array.
 """
 
 from __future__ import annotations
@@ -109,6 +111,11 @@ def _check_same_size(*rhos: ReducedDensity) -> None:
         raise ValueError(f"dimension mismatch: {sizes}")
 
 
+def _check_delta(delta: float) -> None:
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"delta must be finite and positive, got {delta}")
+
+
 def bures_distance_sq(rho: ReducedDensity, sigma: ReducedDensity) -> float:
     """Squared Bures distance 2 [1 - F(rho, sigma)]."""
     return 2.0 * (1.0 - uhlmann_fidelity(rho, sigma))
@@ -124,8 +131,7 @@ def fs_finite_difference(
     The stencil is symmetric, h +- delta/2, except at the domain boundary
     h = 0 where it degrades to the one-sided pair (0, delta).
     """
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _check_delta(delta)
     lo = h - 0.5 * delta
     hi = h + 0.5 * delta
     if lo < 0.0:
@@ -162,46 +168,54 @@ def fs_spectral(
     skipped in the second.  All three matrices are parity-block diagonal,
     so overlaps between the two parity blocks are exactly zero and both
     sums run over the pairs within each block.  d_rho is nonzero only on
-    the union of the three windows, so each block's sums run there: rho(h)
-    contributes its decomposition, completed to an orthonormal basis of
-    the union window by null modes (p = 0), and rho(h +- delta) their
-    window blocks, Psi_w Psi_w^T, which are not decomposed.  Arguments of
-    different subsystem size raise ValueError.  ``h`` is the field at the
-    stencil's centre; it only labels the FidelityError raised when chi is
-    not finite.
+    the union of the three windows, so each block's sums run there.  With
+    U the modes of rho(h) (the left singular vectors of its factor) and A_+
+    and A_- the factors of rho(h +- delta), all placed on the union window,
+
+        d_rho U = (A_+ (A_+^T U) - A_- (A_-^T U)) / (2 delta),
+
+    so d_rho is never formed, and X = U^T d_rho U.  The window's other
+    basis vectors are null modes (p = 0): a pair of two is skipped, and a
+    mode with p_n >= 1e-10 paired with each of them, both ways round,
+    adds ||(d_rho U - U X)_n||^2 / p_n in all, the weight of d_rho psi_n
+    outside rho(h)'s modes.  Arguments of different subsystem size raise
+    ValueError.  ``h`` is the field at the stencil's centre; it only
+    labels the FidelityError raised when chi is not finite.
     """
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _check_delta(delta)
     _check_same_size(rho_minus, rho, rho_plus)
     chi = 0.0
     for r, (offset, u, p) in enumerate(rho.spectra):
-        windows = ((offset, u), rho_plus.windows[r], rho_minus.windows[r])
-        spans = [(o, o + len(a)) for o, a in windows if len(a)]
-        if not spans:
+        if not len(u):
             continue
-        lo = min(start for start, _ in spans)
-        size = max(stop for _, stop in spans) - lo
-        d_rho = (rho_plus.block(r, lo, size) - rho_minus.block(r, lo, size)) / (
+        windows = ((offset, u), rho_plus.windows[r], rho_minus.windows[r])
+        lo = min(o for o, a in windows if len(a))
+        size = max(o + len(a) for o, a in windows if len(a)) - lo
+
+        def on_union(o, a):
+            placed = np.zeros((size, a.shape[1]))
+            placed[o - lo:o - lo + len(a)] = a
+            return placed
+
+        modes, a_plus, a_minus = (on_union(o, a) for o, a in windows)
+        d_modes = (a_plus @ (a_plus.T @ modes) - a_minus @ (a_minus.T @ modes)) / (
             2.0 * delta
         )
-
-        modes = np.zeros((size, u.shape[1]))
-        modes[offset - lo:offset - lo + len(u)] = u
-        # Householder QR keeps the first columns (up to sign) and adds an
-        # orthonormal basis of their complement: the null modes.
-        basis = np.linalg.qr(modes, mode="complete")[0]
-        w = np.zeros(size)
-        w[:len(p)] = p
-        overlap = basis.T @ d_rho @ basis
+        overlap = modes.T @ d_modes
 
         dp = np.diag(overlap)
-        occupied = w >= POPULATION_CUTOFF
-        chi += float((dp[occupied] ** 2 / (4.0 * w[occupied])).sum())
+        occupied = p >= POPULATION_CUTOFF
+        chi += float((dp[occupied] ** 2 / (4.0 * p[occupied])).sum())
 
-        pair_mask = np.abs(w[:, None] - w[None, :]) >= DEGENERACY_TOL
+        pair_mask = np.abs(p[:, None] - p[None, :]) >= DEGENERACY_TOL
         np.fill_diagonal(pair_mask, False)
-        denom = w[:, None] + w[None, :]
+        denom = p[:, None] + p[None, :]
         chi += float(0.5 * (overlap[pair_mask] ** 2 / denom[pair_mask]).sum())
+
+        # Each mode's pairs with the null modes, whose p = 0.
+        weighted = p >= DEGENERACY_TOL
+        outside = (d_modes - modes @ overlap)[:, weighted]
+        chi += float((np.einsum("ij,ij->j", outside, outside) / p[weighted]).sum())
 
     if not math.isfinite(chi):
         raise FidelityError(f"non-finite susceptibility {chi}", h, delta)

@@ -60,6 +60,10 @@ class Bipartition:
     m_sub: int
 
     def __post_init__(self):
+        for name in ("n", "m_sub"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (1 <= self.m_sub <= self.n):
             raise ValueError(
                 f"subsystem size must lie in [1, {self.n}], got {self.m_sub}"
@@ -79,30 +83,14 @@ class ReducedDensity:
     outside a window of its rows, ``windows[r] = (offset, a)``, and is
     a a^T there: ``a`` is the block's Schmidt factor, its quarter of Psi
     cut to the rows and columns whose squared norms exceed WINDOW_FLOOR.
-    The eigensystem is the thin SVD of each factor, taken once and cached,
-    for the entropy and the spectral susceptibility; the fidelity works
-    from the factors themselves.
+    No dense block is ever formed.  The eigensystem is the thin SVD of
+    each factor, taken once and cached: the entropy reads its singular
+    values and the spectral susceptibility its left singular vectors.
+    The fidelity works from the factors themselves.
     """
 
     m_sub: int
     windows: tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]
-
-    def _block_size(self, r: int) -> int:
-        """Number of p = r (mod 2) in 0..M."""
-        return (self.m_sub + 2 - r) // 2
-
-    def block(self, r: int, start: int, size: int) -> np.ndarray:
-        """Rows and columns start .. start + size - 1 of parity block r.
-
-        The range must contain the block's window; the block is zero
-        outside it, and a a^T, symmetrized, inside.
-        """
-        offset, a = self.windows[r]
-        product = a @ a.T
-        matrix = np.zeros((size, size))
-        i = offset - start
-        matrix[i:i + len(a), i:i + len(a)] = 0.5 * (product + product.T)
-        return matrix
 
     @cached_property
     def _decomposition(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
@@ -122,18 +110,6 @@ class ReducedDensity:
         descending.  Modes outside these have eigenvalue 0.
         """
         return self._decomposition
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """All M+1 eigenvalues: the even-p block's, ascending, then the odd-p block's.
-
-        Each block's list is padded with leading zeros to the block's size.
-        """
-        padded = []
-        for r, (_, _, w) in enumerate(self._decomposition):
-            padded.append(np.zeros(self._block_size(r) - len(w)))
-            padded.append(np.sort(w))
-        return np.concatenate(padded)
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +227,7 @@ def von_neumann_entropy(rho: ReducedDensity) -> float:
 
     Eigenvalues at or below 1e-14 contribute zero.
     """
-    w = rho.eigenvalues
+    w = np.concatenate([np.sort(w) for _, _, w in rho.spectra])
     w = w[w > ENTROPY_CUTOFF]
     # An eigenvalue can sit one ulp above 1 and push the sum to -1e-16.
     return max(float(-(w * np.log(w)).sum()), 0.0)

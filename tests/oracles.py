@@ -13,8 +13,8 @@ significant bits), matching a C-order reshape into (2^M, 2^(N-M)).
 
 The routines that production replaced by cheaper ones that must agree
 with them bit for bit, or to roundoff, are kept at the end as references:
-the two-block ground-state solve, the full-quarter reduction and the
-eigen-core Uhlmann fidelity.
+the two-block ground-state solve, the full-quarter reduction, the
+eigen-core Uhlmann fidelity and the completed-basis spectral sum.
 """
 
 import math
@@ -23,6 +23,7 @@ from functools import lru_cache, reduce
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from lmglab.fidelity import DEGENERACY_TOL, POPULATION_CUTOFF
 from lmglab.model import (
     GAUGE_EPS,
     RESIDUAL_TOL,
@@ -113,6 +114,20 @@ def dense_hamiltonian(ham) -> np.ndarray:
     return np.diag(ham.diagonal) + off + off.T
 
 
+def window_block(rho: ReducedDensity, r: int, start: int, size: int) -> np.ndarray:
+    """Rows and columns start .. start + size - 1 of rho's parity block r.
+
+    The range must contain the block's window; the block is zero outside
+    it, and a a^T, symmetrized, inside.
+    """
+    offset, a = rho.windows[r]
+    product = a @ a.T
+    matrix = np.zeros((size, size))
+    i = offset - start
+    matrix[i:i + len(a), i:i + len(a)] = 0.5 * (product + product.T)
+    return matrix
+
+
 def dense_reduced(rho: ReducedDensity) -> np.ndarray:
     """The (M+1)x(M+1) matrix of rho, checked as a density matrix.
 
@@ -121,7 +136,7 @@ def dense_reduced(rho: ReducedDensity) -> np.ndarray:
     """
     matrix = np.zeros((rho.m_sub + 1,) * 2)
     for r in (0, 1):
-        matrix[r::2, r::2] = rho.block(r, 0, len(matrix[r::2]))
+        matrix[r::2, r::2] = window_block(rho, r, 0, len(matrix[r::2]))
     assert np.array_equal(matrix, matrix.T)
     assert abs(matrix.trace() - 1.0) <= 1e-12
     assert np.linalg.eigvalsh(matrix)[0] >= PSD_FLOOR
@@ -221,3 +236,42 @@ def eigen_core_fidelity(rho: ReducedDensity, sigma: ReducedDensity) -> float:
         core = np.sqrt(w_r)[:, None] * overlap * np.sqrt(w_s)[None, :]
         fid += float(np.linalg.svd(core, compute_uv=False).sum())
     return min(max(fid, 0.0), 1.0)
+
+
+def completed_basis_spectral(rho_minus, rho, rho_plus, delta: float) -> float:
+    """``fs_spectral`` over a full basis of each block's union window.
+
+    rho(h)'s modes are completed to an orthonormal basis of the union of
+    the three windows by Householder QR, the null modes taking p = 0, and
+    d_rho is formed as the difference of the dense window blocks of
+    rho(h +- delta); the sum then runs over every pair of basis vectors.
+    """
+    chi = 0.0
+    for r, (offset, u, p) in enumerate(rho.spectra):
+        windows = ((offset, u), rho_plus.windows[r], rho_minus.windows[r])
+        spans = [(o, o + len(a)) for o, a in windows if len(a)]
+        if not spans:
+            continue
+        lo = min(start for start, _ in spans)
+        size = max(stop for _, stop in spans) - lo
+        d_rho = (window_block(rho_plus, r, lo, size)
+                 - window_block(rho_minus, r, lo, size)) / (2.0 * delta)
+
+        modes = np.zeros((size, u.shape[1]))
+        modes[offset - lo:offset - lo + len(u)] = u
+        # Householder QR keeps the first columns (up to sign) and adds an
+        # orthonormal basis of their complement: the null modes.
+        basis = np.linalg.qr(modes, mode="complete")[0]
+        w = np.zeros(size)
+        w[:len(p)] = p
+        overlap = basis.T @ d_rho @ basis
+
+        dp = np.diag(overlap)
+        occupied = w >= POPULATION_CUTOFF
+        chi += float((dp[occupied] ** 2 / (4.0 * w[occupied])).sum())
+
+        pair_mask = np.abs(w[:, None] - w[None, :]) >= DEGENERACY_TOL
+        np.fill_diagonal(pair_mask, False)
+        denom = w[:, None] + w[None, :]
+        chi += float(0.5 * (overlap[pair_mask] ** 2 / denom[pair_mask]).sum())
+    return chi

@@ -32,6 +32,20 @@ class TestTheta0:
             theta0(-0.5)
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, -0.5])
+@pytest.mark.parametrize("closed_form", [
+    theta0,
+    lambda h: alpha(h, 0.5),
+    lambda h: chi_g_analytic(h, 0.5, 64),
+    lambda h: chi_r_analytic(h, 0.5, 0.5, 64),
+    lambda h: entropy_analytic(h, 0.5, 0.5),
+], ids=["theta0", "alpha", "chi_g", "chi_r", "entropy"])
+def test_non_finite_or_negative_field_rejected(closed_form, h):
+    # Left unchecked, nan and inf would read 0.0 or NaN.
+    with pytest.raises(ValueError, match=f"field must be finite and >= 0, got {h}"):
+        closed_form(h)
+
+
 class TestAlpha:
     def test_symmetric_branch_value(self):
         assert alpha(1.5, 0.5) == pytest.approx(math.sqrt(0.5), abs=1e-12)

@@ -36,6 +36,7 @@ from lmglab.reduced import (
 
 from oracles import (
     PSD_FLOOR,
+    completed_basis_spectral,
     dense_reduced,
     eigen_core_fidelity,
     partial_trace_first,
@@ -227,11 +228,34 @@ class TestFsFiniteDifference:
         with pytest.raises(ValueError):
             fs_finite_difference(lambda h: np.array([1.0]), 1.0, 0.0)
 
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, -1e-3])
+    def test_non_finite_or_negative_delta(self, delta):
+        # An infinite step would read chi = 2 (1 - F) / inf^2 = 0.
+        with pytest.raises(ValueError, match=f"delta must be finite and positive, got {delta}"):
+            fs_finite_difference(lambda h: np.array([1.0]), 1.0, delta)
+
 
 class TestFsSpectral:
     def test_h_independent_family_is_zero(self):
         rho = _rho([0.25, 0.75])
         assert fs_spectral(rho, rho, rho, 1e-3) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0, -1e-3])
+    def test_non_finite_or_non_positive_delta(self, delta):
+        rho, sigma = _rho([0.25, 0.75]), _rho([0.5, 0.5])
+        with pytest.raises(ValueError, match=f"delta must be finite and positive, got {delta}"):
+            fs_spectral(rho, rho, sigma, delta)
+
+    def test_no_basis_completion(self, monkeypatch):
+        # The null modes enter through the factors, not through a QR
+        # completion of rho(h)'s modes to a full basis.
+        stencil = [_reduced(64, 0.5, h, 32) for h in (0.899, 0.9, 0.901)]
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("np.linalg.qr called")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        assert fs_spectral(*stencil, 1e-3) > 0.0
 
     def test_two_level_hand_built_family(self):
         # rho(h) = diag(h, 1-h): chi = 1/(4h) + 1/(4(1-h)); at h=0.5 -> 1.
@@ -306,8 +330,10 @@ class TestParityBlocks:
             step = 0.5 * (h + delta - lo)
             d_minus, d_rho, d_plus = (dense_reduced(x) for x in (minus, rho, plus))
             w_dense = _dense_eigh(d_rho)[0]
-            np.testing.assert_allclose(np.sort(rho.eigenvalues), w_dense,
-                                       rtol=0, atol=1e-13)
+            # The modes outside the factors' spectra have eigenvalue 0.
+            w = np.concatenate([w for _, _, w in rho.spectra])
+            np.testing.assert_allclose(np.sort(np.pad(w, (len(w_dense) - len(w), 0))),
+                                       w_dense, rtol=0, atol=1e-13)
 
             fid, dense_fid = uhlmann_fidelity(rho, plus), _dense_uhlmann(d_rho, d_plus)
             if m_sub == n and _sector(n, gamma, h) != _sector(n, gamma, h + delta):
@@ -339,10 +365,12 @@ class TestParityBlocks:
                 assert chi == pytest.approx(dense, rel=1e-9, abs=1e-12), h
 
     def test_eigenvalue_order(self):
-        # The even-p block's eigenvalues ascending, then the odd-p block's.
+        # The even-p block's eigenvalues descending, then the odd-p block's.
         # Squares of dyadic numbers, so the factor's s^2 returns them exactly.
         rho = _rho([1 / 16, 9 / 16, 1 / 4, 1 / 64])
-        np.testing.assert_array_equal(rho.eigenvalues, [1 / 16, 1 / 4, 1 / 64, 9 / 16])
+        (_, _, even), (_, _, odd) = rho.spectra
+        np.testing.assert_array_equal(even, [1 / 4, 1 / 16])
+        np.testing.assert_array_equal(odd, [9 / 16, 1 / 64])
 
     @pytest.mark.parametrize("entry", [(0, 1), (2, 1), (3, 0)])
     def test_odd_offset_entry_rejected(self, entry):
@@ -357,7 +385,7 @@ class TestParityBlocks:
         matrix[0, 2] = matrix[2, 0] = 1e-3
         matrix[1, 3] = matrix[3, 1] = 1e-3
         rho = reduced_from_matrix(matrix)
-        assert rho.eigenvalues.sum() == pytest.approx(1.0, abs=1e-15)
+        assert sum(w.sum() for _, _, w in rho.spectra) == pytest.approx(1.0, abs=1e-15)
         assert uhlmann_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -395,6 +423,66 @@ class TestWindowedFactors:
             w = w[w > ENTROPY_CUTOFF]
             dense_entropy = float(-(w * np.log(w)).sum())
             assert von_neumann_entropy(rho) == pytest.approx(dense_entropy, abs=1e-13), h
+
+
+def _spectral_stencil(n, gamma, h, m_sub):
+    """fs_spectral's arguments at the automatic step, as sweep_point passes them."""
+    step = auto_delta(h)
+    if h - step < 0.0:
+        rho = _reduced(n, gamma, h, m_sub)
+        return rho, rho, _reduced(n, gamma, h + step, m_sub), 0.5 * step
+    return (*(_reduced(n, gamma, h + s * step, m_sub) for s in (-1, 0, 1)), step)
+
+
+class TestFactorSpectral:
+    """fs_spectral through the Schmidt factors against the completed-basis sum."""
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    def test_tau_spectral_grid(self, n):
+        for tau in np.linspace(0.1, 1.0, 10):
+            m_sub = round(tau * n)
+            for h in (0.6, 0.9, 1.0, 1.1):
+                args = _spectral_stencil(n, 0.5, h, m_sub)
+                assert fs_spectral(*args) == pytest.approx(
+                    completed_basis_spectral(*args), rel=1e-10), (m_sub, h)
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_zero_field_forward_stencil(self, n):
+        # At odd N, h = 0 is a k-parity level crossing: rho(delta) may hold
+        # its weight on other rows than rho(0).
+        for m_sub in (1, 2, n // 2, n - 1, n):
+            args = _spectral_stencil(n, 0.5, 0.0, m_sub)
+            assert fs_spectral(*args) == pytest.approx(
+                completed_basis_spectral(*args), rel=1e-10), m_sub
+
+    @pytest.mark.parametrize("n, m_sub", [(64, 1), (65, 1), (1024, 1), (64, 64), (65, 65),
+                                          (512, 512)])
+    def test_single_spin_and_whole_system(self, n, m_sub):
+        for h in (0.3, 0.8, 0.97, 1.0, 1.3, 3.0):
+            args = _spectral_stencil(n, 0.5, h, m_sub)
+            assert fs_spectral(*args) == pytest.approx(
+                completed_basis_spectral(*args), rel=1e-10), h
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_neighbour_windows_reach_past_rho(self, seed):
+        # Even blocks: rho's lives on rows 3-6 with rank 3, so it has a null
+        # mode inside its window; rho(h - delta)'s adds rows 2 and 7-9 and
+        # rho(h + delta)'s rows 1-2 and 7.  On rows 3-6 both equal rho's, so
+        # d_rho psi_n lies wholly on the null modes: without the null term
+        # the even block's chi would read ~0.  The odd blocks are generic.
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(4, 3))
+        minus = np.vstack([rng.normal(size=(1, 3)), a, rng.normal(size=(3, 3))])
+        plus = np.vstack([rng.normal(size=(2, 3)), a, rng.normal(size=(1, 3))])
+        odd = [rng.normal(size=(5, 4)) for _ in range(3)]
+        stencil = [ReducedDensity(30, windows) for windows in (
+            ((2, minus), (6, odd[0])), ((3, a), (4, odd[1])), ((1, plus), (2, odd[2])))]
+        even = [ReducedDensity(30, (rho.windows[0], (0, np.zeros((0, 0)))))
+                for rho in stencil]
+        for args in (stencil, even):
+            assert fs_spectral(*args, 0.1) == pytest.approx(
+                completed_basis_spectral(*args, 0.1), rel=1e-10)
+        assert fs_spectral(*even, 0.1) > 1.0
 
 
 class TestFactorFidelity:
@@ -458,6 +546,12 @@ class TestSweep:
     def test_auto_delta_recorded(self):
         point = sweep_point(ModelParams(24, 0.5, 2.0), Bipartition(24, 12), probe=False)
         assert point.delta == pytest.approx(2e-3)
+
+    @pytest.mark.parametrize("method", ["finite-difference", "spectral"])
+    def test_non_finite_delta_blames_the_step(self, method):
+        with pytest.raises(ValueError, match="delta must be finite and positive, got nan"):
+            sweep_point(ModelParams(16, 0.5, 0.9), Bipartition(16, 8), delta=math.nan,
+                        method=method)
 
     def test_zero_chi_g_point_raises(self):
         # gamma=1, h=0 makes chi_g exactly zero (S_z is conserved, the

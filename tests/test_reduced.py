@@ -190,7 +190,7 @@ class TestReduceState:
             matrix = dense_reduced(rho)
             assert abs(matrix.trace() - 1.0) < 1e-12
             assert np.array_equal(matrix, matrix.T)
-            assert rho.eigenvalues[0] >= 0.0
+            assert all((w >= 0.0).all() for _, _, w in rho.spectra)
 
     def test_complement_symmetry(self):
         state = ground_state(ModelParams(10, 0.5, 0.8))
@@ -225,6 +225,16 @@ class TestBipartition:
     def test_invalid_sizes(self, m_sub):
         with pytest.raises(ValueError):
             Bipartition(8, m_sub)
+
+    @pytest.mark.parametrize("n, m_sub", [(10, 2.5), (10, True), (10.0, 5), (True, 1),
+                                          (10, np.float64(5.0))])
+    def test_non_integer_sizes(self, n, m_sub):
+        # A float size would fail later inside numpy; a bool would count as 0 or 1.
+        with pytest.raises(ValueError, match="must be an integer"):
+            Bipartition(n, m_sub)
+
+    def test_numpy_integer_sizes(self):
+        assert Bipartition(np.int64(10), np.int32(5)).tau == 0.5
 
 
 class TestVonNeumannEntropy:
