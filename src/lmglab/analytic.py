@@ -69,6 +69,18 @@ def _check_field(h: float) -> None:
         raise ValueError(f"field must be finite and >= 0, got {h}")
 
 
+def _check_size(n: int) -> None:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ValueError(f"particle count must be an integer, got {n!r}")
+    if n < 2:
+        raise ValueError(f"particle count must be >= 2, got {n}")
+
+
+def _check_alpha(alpha_value: float) -> None:
+    if not (math.isfinite(alpha_value) and alpha_value > 0.0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha_value}")
+
+
 def _check_point_args(h: float, gamma: float) -> None:
     _check_field(h)
     if not (0.0 <= gamma < 1.0):
@@ -100,8 +112,7 @@ def mu(alpha_value: float, tau: float) -> float:
     exactly 1 for tau = 1 (pure subsystem) and diverging like
     sqrt(tau(1-tau)/alpha) as alpha -> 0.
     """
-    if alpha_value <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha_value}")
+    _check_alpha(alpha_value)
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     if tau == 1.0:
@@ -116,8 +127,7 @@ def greens(alpha_value: float, tau: float) -> tuple[float, float]:
     G^{++} = 1 + (1/alpha - 1) tau and G^{--} = (1 - alpha) tau - 1.
     They satisfy -G^{++} G^{--} = mu^2 identically.
     """
-    if alpha_value <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha_value}")
+    _check_alpha(alpha_value)
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     g_pp = 1.0 + (1.0 / alpha_value - 1.0) * tau
@@ -137,6 +147,7 @@ def chi_g_analytic(h: float, gamma: float, n: int) -> float:
     Extensive (grows with N) below the transition, intensive above it.
     """
     _check_point_args(h, gamma)
+    _check_size(n)
     if h < 1.0:
         one_m_h2 = 1.0 - h * h
         extensive = n / (4.0 * math.sqrt(one_m_h2 * (1.0 - gamma)))
@@ -171,6 +182,7 @@ def chi_r_analytic(h: float, gamma: float, tau: float, n: int) -> float:
     alpha' [tau(1-tau)(alpha^2-1) / (2 alpha^2 mu^2) + tau / (alpha^2 G^{++})].
     At tau = 1 this is exactly chi_g in the symmetric phase.
     """
+    _check_size(n)
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     a = alpha(h, gamma)

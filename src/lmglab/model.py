@@ -42,8 +42,13 @@ alternating runs, ``import lmglab.cli`` took 0.48-0.60 s (median 0.58 s)
 with ``from scipy.linalg.lapack import ...`` and takes 0.20-0.27 s
 (median 0.22 s) with the direct load.  The drivers are the very objects
 ``scipy.linalg.lapack`` re-exports (``from scipy.linalg._flapack import
-*``), whichever of the two is imported first.  There is no fallback: if
-a scipy release moves the extension, importing this module fails.
+*``), whichever of the two is imported first.  Not even the top-level
+``scipy`` package is imported: its ``__init__`` reaches
+``scipy._lib._testutils`` and with it ``subprocess``, ``locale``,
+``signal``, ``selectors`` and ``sysconfig``, 23 modules in all, so the
+extension is found from the ``linalg`` subdirectory of scipy's package
+directory.  There is no fallback: if a scipy release moves the
+extension, importing this module fails.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -75,17 +81,19 @@ CERTIFICATE_SLACK = 1e-12
 
 
 def _load_flapack():
-    """scipy's ``scipy.linalg._flapack`` module, without importing scipy.linalg.
+    """scipy's ``scipy.linalg._flapack`` module, without importing scipy.
 
     Reuses the module when it is already loaded; otherwise loads it from
-    scipy.linalg's directory (``find_spec`` imports only the top-level
-    ``scipy``) and registers it under its own name, where
-    ``scipy.linalg.lapack`` will find it.
+    the ``linalg`` subdirectory of scipy's package directory (``find_spec``
+    of a top-level name imports nothing) and registers it under its own
+    name, where ``scipy.linalg.lapack`` will find it.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    path = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    scipy = importlib.util.find_spec("scipy")
+    scipy_dirs = scipy.submodule_search_locations if scipy else ()
+    path = [os.path.join(directory, "linalg") for directory in scipy_dirs]
     spec = importlib.machinery.PathFinder.find_spec(name, path)
     if spec is None:
         raise ImportError(f"{name} not found in {path}", name=name)

@@ -22,8 +22,10 @@ cut to the contiguous rows and columns whose squared norms exceed
 WINDOW_FLOOR = 1e-30.  Near h = 1 that leaves a few dozen of the M/2 rows
 (56 of 513 at N = 2048, M = 1024, h = 0.97), while the dropped rows carry
 less than (N + 2) * 1e-30 of the trace.  C is exactly zero outside the
-span [c_lo, c_hi] of its solve window, so Psi is formed only on the box
-of rows and columns that can meet c_lo <= p + k <= c_hi.  The factor is
+span [c_lo, c_hi] of its solve window, so Psi, its weights included, is
+formed only on the box of rows and columns that can meet
+c_lo <= p + k <= c_hi: a reduction holds that box and the O(N) exact
+log-binomials, never an (M+1) x (N-M+1) array.  The factor is
 the only form in which rho_A is held: the eigensystem of a block is the
 thin SVD of its window, U s V^T, giving eigenvectors U and eigenvalues
 s^2, which cannot be negative.  This is the Schmidt decomposition of a
@@ -121,7 +123,10 @@ def _log_binomials(n: int) -> np.ndarray:
     each is passed to ``math.log``; the upper half mirrors the lower by
     C(n, k) = C(n, n - k).  Each step multiplies and divides an integer
     of at most n bits by a small one, so the table costs O(n^2) word
-    operations: about 11 ms at n = 8192 and 0.16 s at n = 32768.
+    operations the first time each n is met: about 11 ms at n = 8192,
+    0.16 s at n = 32768 and 1.3 s at n = 10^5.  A reduction reads the
+    tables for M, N - M and N, O(N) doubles, and forms weights only on
+    its box (``_box_weights``).
 
     Exact combinatorics keeps the absolute error at ~1 ulp of log C even
     for n ~ 2000, where differences of large log-gamma values would lose
@@ -136,22 +141,31 @@ def _log_binomials(n: int) -> np.ndarray:
     return vals
 
 
-# A CLI task holds one (N, h) and runs its subsystem sizes in turn, so a
-# grid with one M per N hits the cache at every h, while a tau grid
-# rebuilds each (N, M) table once per h, about 0.25 ms at N = 512.  More
-# entries would hold (M+1) x (N-M+1) tables alive: ten at N = 512 take
-# about 3.5 MB.
-@lru_cache(maxsize=2)
-def _schmidt_weights(n: int, m_sub: int) -> np.ndarray:
-    """sqrt(H(p; N, M, p+k)) as an (M+1) x (N-M+1) table over p and k."""
-    lb_a = _log_binomials(m_sub)
-    lb_b = _log_binomials(n - m_sub)
-    lb_j = _log_binomials(n)
-    p = np.arange(m_sub + 1)[:, None]
-    k = np.arange(n - m_sub + 1)
-    table = np.exp(0.5 * (lb_a[p] + lb_b - lb_j[p + k]))
-    table.flags.writeable = False
-    return table
+def _hankel(values: np.ndarray, start: int, n_rows: int, n_cols: int) -> np.ndarray:
+    """The view H[i, j] = values[start + 2(i + j)] of a contiguous 1-D array."""
+    step = 2 * values.itemsize
+    return np.ndarray(
+        (n_rows, n_cols), dtype=values.dtype, buffer=values, strides=(step, step),
+        offset=start * values.itemsize if n_rows and n_cols else 0,
+    )
+
+
+def _box_weights(n: int, m_sub: int, p_lo: int, k_lo: int, n_rows: int,
+                 n_cols: int) -> np.ndarray:
+    """sqrt(H(p; N, M, p + k)) on the box p = p_lo + 2i, k = k_lo + 2j.
+
+    Here i < n_rows and j < n_cols.  Each weight is
+    exp(0.5 (log C(M, p) + log C(N - M, k) - log C(N, p + k))) from the
+    exact ``_log_binomials``, so only the box is ever formed.
+    """
+    lb_a = _log_binomials(m_sub)[p_lo::2][:n_rows, None]
+    lb_b = _log_binomials(n - m_sub)[k_lo::2][:n_cols]
+    lb_j = _hankel(_log_binomials(n), p_lo + k_lo, n_rows, n_cols)
+    # In place, so the box is allocated once.
+    weights = lb_a + lb_b
+    weights -= lb_j
+    weights *= 0.5
+    return np.exp(weights, out=weights)
 
 
 def _span(mask: np.ndarray) -> slice:
@@ -187,8 +201,6 @@ def reduce_state(state: DickeGroundState, part: Bipartition) -> ReducedDensity:
     coefficients = np.ascontiguousarray(state.coefficients)
     support = _span(coefficients != 0.0)
     c_lo, c_hi = support.start, support.stop - 1
-    weights = _schmidt_weights(n, m_sub)
-    step = 2 * coefficients.itemsize
     windows = []
     trace = 0.0
     for r in (0, 1):
@@ -202,11 +214,8 @@ def reduce_state(state: DickeGroundState, part: Bipartition) -> ReducedDensity:
         n_cols = max((min(c_hi, n - m_sub) - k_lo) // 2 + 1, 0)
         # Psi[p_lo + 2i, k_lo + 2j] = weight * C[p_lo + k_lo + 2(i + j)]: a
         # Hankel slice of C, viewed in place.
-        hankel = np.ndarray(
-            (n_rows, n_cols), buffer=coefficients, strides=(step, step),
-            offset=(p_lo + k_lo) * coefficients.itemsize if n_rows and n_cols else 0,
-        )
-        psi = weights[p_lo:p_lo + 2 * n_rows:2, k_lo:k_lo + 2 * n_cols:2] * hankel
+        psi = _box_weights(n, m_sub, p_lo, k_lo, n_rows, n_cols)
+        psi *= _hankel(coefficients, p_lo + k_lo, n_rows, n_cols)
         row_mass = np.einsum("ij,ij->i", psi, psi)
         trace += row_mass.sum()
         rows = _span(row_mass > WINDOW_FLOOR)

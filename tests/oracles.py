@@ -13,8 +13,9 @@ significant bits), matching a C-order reshape into (2^M, 2^(N-M)).
 
 The routines that production replaced by cheaper ones that must agree
 with them bit for bit, or to roundoff, are kept at the end as references:
-the two-block ground-state solve, the full-quarter reduction, the
-eigen-core Uhlmann fidelity and the completed-basis spectral sum.
+the two-block ground-state solve, the whole Schmidt-weight table, the
+full-quarter reduction, the eigen-core Uhlmann fidelity and the
+completed-basis spectral sum.
 """
 
 import math
@@ -37,7 +38,7 @@ from lmglab.reduced import (
     WINDOW_FLOOR,
     ReducedDensity,
     ReducedDensityError,
-    _schmidt_weights,
+    _log_binomials,
     _span,
 )
 
@@ -200,6 +201,19 @@ def two_block_ground_state(params) -> DickeGroundState:
     return DickeGroundState(params=params, coefficients=coefficients, energy=energy)
 
 
+@lru_cache(maxsize=2)
+def schmidt_weights(n: int, m_sub: int) -> np.ndarray:
+    """sqrt(H(p; N, M, p+k)) as an (M+1) x (N-M+1) table over p and k."""
+    lb_a = _log_binomials(m_sub)
+    lb_b = _log_binomials(n - m_sub)
+    lb_j = _log_binomials(n)
+    p = np.arange(m_sub + 1)[:, None]
+    k = np.arange(n - m_sub + 1)
+    table = np.exp(0.5 * (lb_a[p] + lb_b - lb_j[p + k]))
+    table.flags.writeable = False
+    return table
+
+
 def full_quarter_reduce(state: DickeGroundState, n: int, m_sub: int) -> ReducedDensity:
     """``reduce_state`` forming each parity block's whole quarter of Psi.
 
@@ -207,7 +221,7 @@ def full_quarter_reduce(state: DickeGroundState, n: int, m_sub: int) -> ReducedD
     columns whose squared norms exceed WINDOW_FLOOR.
     """
     hankel = sliding_window_view(state.coefficients, n - m_sub + 1)
-    weights = _schmidt_weights(n, m_sub)
+    weights = schmidt_weights(n, m_sub)
     windows = []
     trace = 0.0
     for r in (0, 1):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,46 @@ def test_non_finite_or_negative_field_rejected(closed_form, h):
     # Left unchecked, nan and inf would read 0.0 or NaN.
     with pytest.raises(ValueError, match=f"field must be finite and >= 0, got {h}"):
         closed_form(h)
+
+
+SIZE_FORMS = [
+    lambda n: chi_g_analytic(0.5, 0.5, n),
+    lambda n: chi_g_analytic(1.5, 0.5, n),
+    lambda n: chi_r_analytic(0.5, 0.5, 0.5, n),
+    lambda n: chi_r_analytic(1.5, 0.5, 0.5, n),
+]
+SIZE_IDS = ["chi_g-broken", "chi_g-symmetric", "chi_r-broken", "chi_r-symmetric"]
+
+
+@pytest.mark.parametrize("n, message", [
+    (-64, "particle count must be >= 2, got -64"),
+    (1, "particle count must be >= 2, got 1"),
+    (np.int64(0), "particle count must be >= 2, got 0"),
+    (math.nan, "particle count must be an integer, got nan"),
+    (2.5, "particle count must be an integer, got 2.5"),
+    (64.0, "particle count must be an integer, got 64.0"),
+    (True, "particle count must be an integer, got True"),
+])
+@pytest.mark.parametrize("closed_form", SIZE_FORMS, ids=SIZE_IDS)
+def test_invalid_size_rejected(closed_form, n, message):
+    # Unchecked, N = -64 gave chi_g = -26.12 and N = nan gave nan.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        closed_form(n)
+
+
+@pytest.mark.parametrize("n", [2, np.int64(64), np.int32(3), 10**12])
+@pytest.mark.parametrize("closed_form", SIZE_FORMS, ids=SIZE_IDS)
+def test_valid_sizes_accepted(closed_form, n):
+    assert math.isfinite(closed_form(n))
+
+
+@pytest.mark.parametrize("alpha_value", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+@pytest.mark.parametrize("closed_form", [mu, greens], ids=["mu", "greens"])
+def test_non_finite_or_non_positive_alpha_rejected(closed_form, alpha_value):
+    # Unchecked, mu(nan, 0.5) returned nan and greens(inf, 0.5) (0.5, -inf).
+    with pytest.raises(ValueError,
+                       match=f"alpha must be finite and positive, got {alpha_value}"):
+        closed_form(alpha_value, 0.5)
 
 
 class TestAlpha:

@@ -29,7 +29,6 @@ from lmglab.reduced import (
     Bipartition,
     ReducedDensity,
     ReducedDensityError,
-    _schmidt_weights,
     reduce_state,
     von_neumann_entropy,
 )
@@ -42,6 +41,7 @@ from oracles import (
     partial_trace_first,
     pauli_hamiltonian,
     reduced_from_matrix,
+    schmidt_weights,
 )
 
 # Ground states in the odd k-parity sector, alongside the even-sector
@@ -393,7 +393,7 @@ def _full_reference(n, gamma, h, m_sub):
     """rho_A = Psi Psi^T from the whole Schmidt matrix, no parity blocks or windows."""
     state = ground_state(ModelParams(n, gamma, h))
     hankel = sliding_window_view(state.coefficients, n - m_sub + 1)
-    psi = _schmidt_weights(n, m_sub) * hankel
+    psi = schmidt_weights(n, m_sub) * hankel
     product = psi @ psi.T
     return 0.5 * (product + product.T)
 

@@ -347,10 +347,14 @@ def _in_fresh_interpreter(code, env=None):
     return json.loads(proc.stdout)
 
 
-# Modules a fresh `import lmglab.cli` must not load: scipy.linalg and what its
-# import drags in (scipy's array-API layer clones numpy, loading numpy.f2py
-# and numpy.testing), other heavy scipy subpackages, and the process pool.
+# Modules a fresh `import lmglab.cli` must not load: scipy itself (its
+# __init__ imports subprocess through scipy._lib._testutils), scipy.linalg and
+# what its import drags in (scipy's array-API layer clones numpy, loading
+# numpy.f2py and numpy.testing), other heavy scipy subpackages, and the
+# process pool.
 STARTUP_EXCLUDED = (
+    "scipy",
+    "subprocess",
     "scipy.linalg",
     "scipy.optimize",
     "scipy._lib._array_api",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,8 @@ from lmglab.model import ModelParams, ground_state
 from lmglab.reduced import (
     Bipartition,
     ReducedDensityError,
+    _box_weights,
     _log_binomials,
-    _schmidt_weights,
     reduce_state,
     von_neumann_entropy,
 )
@@ -24,6 +25,16 @@ from oracles import (
     partial_trace_first,
     reduced_from_matrix,
 )
+
+
+def _weights(n, m_sub):
+    """sqrt(H(p; N, M, p + k)) over every p and k, from the four parity boxes."""
+    table = np.empty((m_sub + 1, n - m_sub + 1))
+    for r in (0, 1):
+        for c in (0, 1):
+            n_rows, n_cols = (m_sub - r) // 2 + 1, (n - m_sub - c) // 2 + 1
+            table[r::2, c::2] = _box_weights(n, m_sub, r, c, n_rows, n_cols)
+    return table
 
 
 def _anti_diagonal_sums(table):
@@ -45,14 +56,14 @@ class TestLogBinomials:
 
 
 class TestHypergeometricWeight:
-    """The table _schmidt_weights(N, M)[p, k] = sqrt(H(p; N, M, p + k))."""
+    """The weights reduce_state forms, sqrt(H(p; N, M, p + k)) at each (p, k)."""
 
     def test_subsystem_is_everything(self):
-        assert np.array_equal(_schmidt_weights(4, 4), np.ones((5, 1)))
+        assert np.array_equal(_weights(4, 4), np.ones((5, 1)))
 
     def test_direct_binomial_value(self):
         # C(1,0) C(1,1) / C(2,1) = 1/2
-        assert _schmidt_weights(2, 1)[0, 1] ** 2 == pytest.approx(0.5, abs=1e-15)
+        assert _weights(2, 1)[0, 1] ** 2 == pytest.approx(0.5, abs=1e-15)
 
     def test_out_of_support_is_zero(self):
         # The exact reference the tests sum over every m, in support or not.
@@ -67,7 +78,7 @@ class TestHypergeometricWeight:
         # ulp of log C(n, n/2), so the relative error is a few of those ulps.
         tol = 4 * np.spacing(max(1.0, math.log(math.comb(n, n // 2))))
         for m_sub in range(1, n + 1):
-            table = _schmidt_weights(n, m_sub)
+            table = _weights(n, m_sub)
             p, k = np.indices(table.shape)
             exact = np.sqrt(hypergeometric(n, m_sub)[p, p + k])
             np.testing.assert_allclose(table, exact, rtol=tol, atol=0)
@@ -75,7 +86,7 @@ class TestHypergeometricWeight:
     def test_normalization_over_p(self):
         # Vandermonde: sum_p H(p; N, M, m) = 1, including large sizes.
         for n, m_sub in [(6, 2), (40, 13), (400, 137), (400, 399)]:
-            totals = _anti_diagonal_sums(_schmidt_weights(n, m_sub) ** 2)
+            totals = _anti_diagonal_sums(_weights(n, m_sub) ** 2)
             assert np.abs(totals - 1.0).max() < 1e-12, (n, m_sub)
 
 
@@ -163,9 +174,22 @@ class TestReduceState:
         dense_reduced(rho)  # asserts the trace within TRACE_TOL = 1e-12
         # Each weight is exp of a sum of log-binomials, so its relative error
         # is a few ulp of log C(n, m): up to 5.4e-12, at m = 9267, here.
-        totals = _anti_diagonal_sums(_schmidt_weights(n, 1) ** 2)
+        totals = _anti_diagonal_sums(_weights(n, 1) ** 2)
         tol = np.maximum(1e-12, 4 * np.spacing(_log_binomials(n)))
         assert np.all(np.abs(totals - 1.0) <= tol)
+
+    def test_memory_is_set_by_the_box(self):
+        # A whole (M+1) x (N-M+1) weight table would take 537 MB here; the box
+        # of rows and columns that meet C's support peaks at about 11 MB.
+        n = 16384
+        state = ground_state(ModelParams(n, 0.5, 0.9))
+        tracemalloc.start()
+        try:
+            reduce_state(state, Bipartition(n, n // 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
     def test_both_parity_sectors_raise(self):
         # The parity blocks need the state in a single k-parity sector, also
