@@ -4,13 +4,16 @@ figure data files, and peak scans.
 Subcommands
 -----------
 sweep-h    chi_g, chi_r, eta and entropy over an h grid, per system size.
-sweep-tau  the same quantities over a subsystem-fraction grid at fixed h.
+sweep-tau  the same quantities over a subsystem-fraction grid at fixed h;
+           M comes from the tau grid, so --tau and --m are not accepted.
 compare    per-point relative deviation of numeric results from the
            closed forms, plus critical-exponent fits.
 peak-scan  location and height of the chi_r peak per system size.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numerical failure
-at one or more points (suppressed by --skip-errors).
+at one or more points (suppressed by --skip-errors).  The --out directory
+is created and checked to be writable before any point is computed.
+Flags must be spelled out in full.
 
 Configuration may come from a flat ``key=value`` file (--config) whose
 keys are the long flag names.  Each key takes the flag given on the
@@ -46,7 +49,6 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
@@ -101,6 +103,12 @@ EXPONENT_POINTS = 10
 # when fitting the extensive divergence law of chi_r / N.
 EXPONENT_FIT_N = 10**12
 
+# The settings every output echoes, plus tau_values for sweep-tau and check
+# for peak-scan.  jobs is an execution detail, not a scientific input:
+# leaving it out keeps outputs byte-identical across worker counts.
+ECHO_KEYS = ("command", "gamma", "tau", "m", "n", "h_values", "delta", "methods",
+             "formats", "skip_errors", "seedless")
+
 
 class UsageError(ValueError, argparse.ArgumentTypeError):
     """Bad flags, bad config values, or an unusable grid.
@@ -110,66 +118,22 @@ class UsageError(ValueError, argparse.ArgumentTypeError):
     """
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; the contract here is 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
-
-
-@dataclass
-class SweepConfig:
-    command: str
-    gamma: float
-    tau: float
-    m_sub: int | None
-    n_list: list[int]
-    h_values: list[float]
-    tau_values: list[float]  # sweep-tau only
-    delta: float | None  # None means the automatic step
-    methods: list[str]
-    out: str
-    formats: list[str]
-    jobs: int
-    skip_errors: bool
-    seedless: bool
-    check: bool  # peak-scan only
-
-    def echo(self) -> dict:
-        delta = "auto" if self.delta is None else self.delta
-        echo = {
-            "command": self.command,
-            "gamma": self.gamma,
-            "tau": self.tau,
-            "m": self.m_sub,
-            "n": ",".join(str(n) for n in self.n_list),
-            "h_values": ",".join(repr(h) for h in self.h_values),
-            "delta": delta,
-            "methods": ",".join(self.methods),
-            "formats": ",".join(self.formats),
-            "skip_errors": self.skip_errors,
-            "seedless": self.seedless,
-        }
-        # jobs is an execution detail, not a scientific input: leaving it
-        # out keeps outputs byte-identical across worker counts.
-        if self.command == "sweep-tau":
-            echo["tau_values"] = ",".join(repr(t) for t in self.tau_values)
-        if self.command == "peak-scan":
-            echo["check"] = self.check
-        return echo
-
-
 def _split(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in _split(text)]
+    try:
+        return [float(tok) for tok in _split(text)]
+    except ValueError:
+        raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in _split(text)]
+    try:
+        return [int(tok) for tok in _split(text)]
+    except ValueError:
+        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _parse_bool(text: str) -> bool:
@@ -184,13 +148,17 @@ def _parse_bool(text: str) -> bool:
 def _parse_delta(text: str) -> float | None:
     if text.strip().lower() == "auto":
         return None
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # rejected below with the expected form
     if not (math.isfinite(value) and value > 0.0):
         raise UsageError(f"delta must be finite and positive, or 'auto', got {text!r}")
     return value
 
 
 _SHARED = ("sweep-h", "sweep-tau", "compare", "peak-scan")
+_FIXED_TAU = ("sweep-h", "compare", "peak-scan")  # sweep-tau takes M from its tau grid
 _SWITCH = {"action": "store_const", "const": True}
 
 # Every flag, declared once: (subcommands, flag, argparse keywords).  The
@@ -198,8 +166,8 @@ _SWITCH = {"action": "store_const", "const": True}
 # parsed by the flag's type, and a switch's by _parse_bool.
 _OPTIONS = (
     (_SHARED, "--gamma", {"type": float, "help": "anisotropy in [0, 1]"}),
-    (_SHARED, "--tau", {"type": float, "help": "subsystem fraction M/N in (0, 1]"}),
-    (_SHARED, "--m", {"type": int, "help": "explicit subsystem size M (overrides --tau)"}),
+    (_FIXED_TAU, "--tau", {"type": float, "help": "subsystem fraction M/N in (0, 1]"}),
+    (_FIXED_TAU, "--m", {"type": int, "help": "explicit subsystem size M (overrides --tau)"}),
     (_SHARED, "--n", {"type": _parse_int_list, "action": "extend", "metavar": "N[,N...]",
                       "help": "system size; repeatable or comma separated"}),
     (_SHARED, "--h-start", {"type": float}),
@@ -259,8 +227,8 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="lmglab",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -269,8 +237,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, _) in _COMMANDS.items():
         # Flags left out stay out of the namespace, so that a config-file
-        # value is overridden only by a flag actually given.
-        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        # value is overridden only by a flag actually given.  No abbreviations:
+        # sweep-tau has no --m, and would otherwise read it as --methods.
+        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS,
+                           allow_abbrev=False)
         for commands, flag, options in _OPTIONS:
             if command in commands:
                 p.add_argument(flag, **options)
@@ -312,11 +282,13 @@ def _check_tau(values: list[float], what: str) -> None:
         raise UsageError(f"{what} must lie in (0, 1]")
 
 
-def config_from_args(args: argparse.Namespace) -> SweepConfig:
+def config_from_args(args: argparse.Namespace) -> dict:
     """Merge per key: defaults, then the config file, then the flags given.
 
     A grid given on the command line in either form, a list or
-    start/stop/count, replaces the config file's grid in either form.
+    start/stop/count, replaces the config file's grid in either form.  The
+    merged dict is the run's settings, with the grids as h_values and
+    tau_values (empty but for sweep-tau).
     """
     given = vars(args)
     command = given["command"]
@@ -324,7 +296,7 @@ def config_from_args(args: argparse.Namespace) -> SweepConfig:
     for axis in ("h", "tau"):
         if {f"{axis}_start", f"{axis}_stop", f"{axis}_count"} & given.keys():
             file_values.pop(f"{axis}_list", None)
-    values = {
+    config = {
         "gamma": 0.5,
         "tau": 0.5,
         "m": None,
@@ -341,58 +313,57 @@ def config_from_args(args: argparse.Namespace) -> SweepConfig:
         **file_values,
         **given,
     }
-    config = SweepConfig(
-        command=command,
-        gamma=values["gamma"],
-        tau=values["tau"],
-        m_sub=values["m"],
-        n_list=values["n"],
-        h_values=_grid(values, "h"),
-        tau_values=_grid(values, "tau") if command == "sweep-tau" else [],
-        delta=values["delta"],
-        methods=values["methods"],
-        out=values["out"],
-        formats=values["formats"],
-        jobs=values["jobs"],
-        skip_errors=values["skip_errors"],
-        seedless=values["seedless"],
-        check=command == "peak-scan" and values["check"],
-    )
+    config["h_values"] = _grid(config, "h")
+    config["tau_values"] = _grid(config, "tau") if command == "sweep-tau" else []
 
-    if not config.n_list:
+    n_list = config["n"]
+    if not n_list:
         raise UsageError("empty system-size list")
-    if any(n < 2 for n in config.n_list):
-        raise UsageError(f"system sizes must be >= 2, got {config.n_list}")
-    repeated = sorted({n for n in config.n_list if config.n_list.count(n) > 1})
+    if any(n < 2 for n in n_list):
+        raise UsageError(f"system sizes must be >= 2, got {n_list}")
+    repeated = sorted({n for n in n_list if n_list.count(n) > 1})
     if repeated:
         raise UsageError(
             f"system size given more than once: {','.join(map(str, repeated))}"
         )
-    if not 0.0 <= config.gamma <= 1.0:
-        raise UsageError(f"--gamma must lie in [0, 1], got {config.gamma}")
-    _check_tau([config.tau], "--tau")
-    _check_tau(config.tau_values, "tau grid values")
-    for method in config.methods:
+    if not 0.0 <= config["gamma"] <= 1.0:
+        raise UsageError(f"--gamma must lie in [0, 1], got {config['gamma']}")
+    _check_tau([config["tau"]], "--tau")
+    _check_tau(config["tau_values"], "tau grid values")
+    methods = config["methods"]
+    for method in methods:
         if method not in ALL_METHODS:
             raise UsageError(f"unknown method {method!r}")
-    if not config.methods:
+    if not methods:
         raise UsageError("empty method list")
-    for fmt in config.formats:
+    for fmt in config["formats"]:
         if fmt not in ALL_FORMATS:
             raise UsageError(f"unknown format {fmt!r}")
-    if config.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {config.jobs}")
+    if not config["formats"]:
+        raise UsageError("empty format list")
+    if config["jobs"] < 1:
+        raise UsageError(f"--jobs must be >= 1, got {config['jobs']}")
     if command == "peak-scan":
-        if "analytic" in config.methods:
+        if "analytic" in methods:
             raise UsageError("peak-scan works on numeric methods only")
-        if len(config.h_values) < 3:
+        if len(config["h_values"]) < 3:
             raise UsageError("peak-scan needs at least 3 h grid points")
     if command == "compare":
-        if "analytic" not in config.methods or not any(
-            m in NUMERIC_METHODS for m in config.methods
-        ):
+        if "analytic" not in methods or not any(m in NUMERIC_METHODS for m in methods):
             raise UsageError("compare needs 'analytic' plus at least one numeric method")
     return config
+
+
+def _echo(config: dict) -> dict:
+    """The settings an output records, lists joined by commas."""
+    extra = {"sweep-tau": ("tau_values",), "peak-scan": ("check",)}
+    echo = {key: config[key] for key in ECHO_KEYS + extra.get(config["command"], ())}
+    for key, value in echo.items():
+        if isinstance(value, list):
+            echo[key] = ",".join(map(str, value))
+    if echo["delta"] is None:
+        echo["delta"] = "auto"
+    return echo
 
 
 def _resolve_m_sub(n: int, tau: float, m_sub: int | None) -> tuple[int, str | None]:
@@ -523,12 +494,12 @@ def _csv_quote(text: str) -> str:
     return text
 
 
-def write_csv(path: Path, rows: list[dict], config: SweepConfig,
+def write_csv(path: Path, rows: list[dict], config: dict,
               warnings_list: list[str], columns=COLUMNS) -> None:
     lines = [
-        f"# lmglab {__version__} {config.command}",
+        f"# lmglab {__version__} {config['command']}",
         f"# timestamp: {_timestamp()}",
-        "# config: " + " ".join(f"{k}={v}" for k, v in sorted(config.echo().items())),
+        "# config: " + " ".join(f"{k}={v}" for k, v in sorted(_echo(config).items())),
     ]
     lines.extend(f"# warning: {w}" for w in warnings_list)
     lines.append(",".join(columns))
@@ -548,14 +519,14 @@ def _json_clean(value):
     return value
 
 
-def write_json(path: Path, rows: list[dict], config: SweepConfig,
+def write_json(path: Path, rows: list[dict], config: dict,
                warnings_list: list[str], extra: dict | None = None) -> None:
     doc = {
         "tool": "lmglab",
         "version": __version__,
-        "command": config.command,
+        "command": config["command"],
         "timestamp": _timestamp(),
-        "config": config.echo(),
+        "config": _echo(config),
         "blas_threads": BLAS_THREADS,
         "warnings": warnings_list,
         "rows": rows,
@@ -567,24 +538,20 @@ def write_json(path: Path, rows: list[dict], config: SweepConfig,
     )
 
 
-def _series_keys(rows: list[dict]) -> list[tuple[int, str]]:
-    return sorted({(row["N"], row["method"]) for row in rows})
-
-
-def write_plotscript(path: Path, csv_name: str, rows: list[dict],
-                     x_column: int, y_column: int,
-                     x_label: str, y_label: str, logscale: bool) -> None:
+def write_plotscript(path: Path, csv_name: str, rows: list[dict], x: str, y: str) -> None:
+    """gnuplot commands plotting column y against column x per (N, method); log y for chi_r."""
     header = [
-        f"# lmglab {__version__} gnuplot commands: {y_label} vs {x_label}",
+        f"# lmglab {__version__} gnuplot commands: {y} vs {x}",
         "set datafile separator ','",
         "set key top left",
-        f"set xlabel '{x_label}'",
-        f"set ylabel '{y_label}'",
+        f"set xlabel '{x}'",
+        f"set ylabel '{y}'",
     ]
-    if logscale:
+    if y == "chi_r":
         header.append("set logscale y")
+    x_column, y_column = COLUMNS.index(x) + 1, COLUMNS.index(y) + 1
     plots = []
-    for n, method in _series_keys(rows):
+    for n, method in sorted({(row["N"], row["method"]) for row in rows}):
         selector = (
             f"(column(2)=={n} && strcol(8) eq '{method}' ? column({x_column}) : NaN)"
         )
@@ -597,8 +564,8 @@ def write_plotscript(path: Path, csv_name: str, rows: list[dict],
     path.write_text("\n".join(header) + "\n")
 
 
-def _prepare_outdir(config: SweepConfig) -> Path:
-    out = Path(config.out)
+def _prepare_outdir(path: str) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     probe = out / ".write_probe"
     probe.write_text("")
@@ -606,15 +573,11 @@ def _prepare_outdir(config: SweepConfig) -> Path:
     return out
 
 
-def _col(name: str) -> int:
-    return COLUMNS.index(name) + 1
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _tasks(config: SweepConfig) -> tuple[list[tuple], list[str]]:
+def _tasks(config: dict) -> tuple[list[tuple], list[str]]:
     """Tasks (n, gamma, h, m_subs, delta, methods), with M-rounding warnings.
 
     One task per (N, h) pair carries every subsystem size M and every
@@ -623,28 +586,28 @@ def _tasks(config: SweepConfig) -> tuple[list[tuple], list[str]]:
     sweep-tau takes M from each value of its tau grid; the other commands
     from --m or --tau.  peak-scan evaluates its first numeric method only.
     """
-    methods = tuple(config.methods)
-    if config.command == "peak-scan":
+    methods = tuple(config["methods"])
+    if config["command"] == "peak-scan":
         methods = (next(m for m in methods if m in NUMERIC_METHODS),)
-    if config.command == "sweep-tau":
-        taus, m_sub = config.tau_values, None
+    if config["command"] == "sweep-tau":
+        taus, m_sub = config["tau_values"], None
     else:
-        taus, m_sub = [config.tau], config.m_sub
+        taus, m_sub = [config["tau"]], config["m"]
     tasks = []
     warnings_list = []
-    for n in config.n_list:
+    for n in config["n"]:
         m_subs = []
         for tau in taus:
             m, warning = _resolve_m_sub(n, tau, m_sub)
             if warning:
                 warnings_list.append(warning)
             m_subs.append(m)
-        for h in config.h_values:
-            tasks.append((n, config.gamma, h, tuple(m_subs), config.delta, methods))
+        for h in config["h_values"]:
+            tasks.append((n, config["gamma"], h, tuple(m_subs), config["delta"], methods))
     return tasks, warnings_list
 
 
-def _report(config: SweepConfig, rows: list[dict], warnings_list: list[str],
+def _report(config: dict, rows: list[dict], warnings_list: list[str],
             files: list[Path]) -> int:
     """Print the warnings, the files written and each failed point; the exit code."""
     for w in warnings_list:
@@ -658,45 +621,29 @@ def _report(config: SweepConfig, rows: list[dict], warnings_list: list[str],
             f"[{row['method']}]: {row['status']}",
             file=sys.stderr,
         )
-    return EXIT_NUMERICAL if bad and not config.skip_errors else EXIT_OK
+    return EXIT_NUMERICAL if bad and not config["skip_errors"] else EXIT_OK
 
 
-def _write_sweep(config: SweepConfig, rows: list[dict], warnings_list: list[str],
-                 stem: str, plots: list[tuple]) -> int:
-    out = _prepare_outdir(config)
+# Each sweep's x column and the columns its gnuplot files plot against it.
+_SWEEP_PLOTS = {"sweep-h": ("h", ("chi_r", "eta", "entropy")),
+                "sweep-tau": ("tau", ("eta", "entropy"))}
+
+
+def cmd_sweep(config: dict, rows: list[dict], warnings_list: list[str], out: Path) -> int:
+    stem = config["command"].replace("-", "_")
     files = []
-    if "csv" in config.formats:
-        csv_path = out / f"{stem}.csv"
-        write_csv(csv_path, rows, config, warnings_list)
-        files.append(csv_path)
-    if "json" in config.formats:
-        json_path = out / f"{stem}.json"
-        write_json(json_path, rows, config, warnings_list)
-        files.append(json_path)
-    if "plotscript" in config.formats:
-        for suffix, x_col, y_col, x_label, y_label, logscale in plots:
-            gp_path = out / f"{stem}_{suffix}.gp"
-            write_plotscript(gp_path, f"{stem}.csv", rows, x_col, y_col,
-                             x_label, y_label, logscale)
-            files.append(gp_path)
+    if "csv" in config["formats"]:
+        files.append(out / f"{stem}.csv")
+        write_csv(files[-1], rows, config, warnings_list)
+    if "json" in config["formats"]:
+        files.append(out / f"{stem}.json")
+        write_json(files[-1], rows, config, warnings_list)
+    if "plotscript" in config["formats"]:
+        x, ys = _SWEEP_PLOTS[config["command"]]
+        for y in ys:
+            files.append(out / f"{stem}_{y}.gp")
+            write_plotscript(files[-1], f"{stem}.csv", rows, x, y)
     return _report(config, rows, warnings_list, files)
-
-
-def cmd_sweep_h(config: SweepConfig, rows: list[dict], warnings_list: list[str]) -> int:
-    plots = [
-        ("chi_r", _col("h"), _col("chi_r"), "h", "chi_r", True),
-        ("eta", _col("h"), _col("eta"), "h", "eta", False),
-        ("entropy", _col("h"), _col("entropy"), "h", "entropy", False),
-    ]
-    return _write_sweep(config, rows, warnings_list, "sweep_h", plots)
-
-
-def cmd_sweep_tau(config: SweepConfig, rows: list[dict], warnings_list: list[str]) -> int:
-    plots = [
-        ("eta", _col("tau"), _col("eta"), "tau", "eta", False),
-        ("entropy", _col("tau"), _col("entropy"), "tau", "entropy", False),
-    ]
-    return _write_sweep(config, rows, warnings_list, "sweep_tau", plots)
 
 
 def _relative_deviation(numeric: float, reference: float) -> float:
@@ -722,12 +669,12 @@ def _exponent_fits(gamma: float, tau: float) -> dict:
     }
 
 
-def cmd_compare(config: SweepConfig, rows: list[dict], warnings_list: list[str]) -> int:
+def cmd_compare(config: dict, rows: list[dict], warnings_list: list[str], out: Path) -> int:
     by_key: dict[tuple, dict] = {}
     for row in rows:
         by_key.setdefault((row["N"], row["h"]), {})[row["method"]] = row
 
-    numeric_methods = [m for m in config.methods if m != "analytic"]
+    numeric_methods = [m for m in config["methods"] if m != "analytic"]
     table = []
     for (n, h), group in sorted(by_key.items()):
         ana = group.get("analytic")
@@ -756,7 +703,7 @@ def cmd_compare(config: SweepConfig, rows: list[dict], warnings_list: list[str])
             table.append(entry)
 
     summary = {}
-    for n in config.n_list:
+    for n in config["n"]:
         devs = [e["chi_r_rel_dev"] for e in table if e["N"] == n and e["status"] == "ok"]
         if devs:
             summary[str(n)] = {
@@ -765,14 +712,13 @@ def cmd_compare(config: SweepConfig, rows: list[dict], warnings_list: list[str])
                 "median_chi_r_rel_dev": statistics.median(devs),
             }
     try:
-        fits = _exponent_fits(config.gamma, config.tau)
+        fits = _exponent_fits(config["gamma"], config["tau"])
     except ValueError as exc:  # gamma = 1 or a bad tau make the fits singular
         fits = {"error": str(exc)}
 
-    out = _prepare_outdir(config)
     text_lines = [
         f"lmglab {__version__} compare report",
-        "config: " + " ".join(f"{k}={v}" for k, v in sorted(config.echo().items())),
+        "config: " + " ".join(f"{k}={v}" for k, v in sorted(_echo(config).items())),
         "",
         f"{'N':>6} {'h':>12} {'method':>18} {'chi_r num':>14} {'chi_r analytic':>14} "
         f"{'rel dev':>10}  status",
@@ -832,10 +778,10 @@ def _parabolic_vertex(h3: np.ndarray, y3: np.ndarray) -> tuple[float, float]:
     return float(vertex), float(np.polyval([a, b, c], vertex))
 
 
-def cmd_peak_scan(config: SweepConfig, rows: list[dict], warnings_list: list[str]) -> int:
+def cmd_peak_scan(config: dict, rows: list[dict], warnings_list: list[str], out: Path) -> int:
     peak_rows = []
-    hs = np.array(sorted(config.h_values))
-    for n in sorted(config.n_list):
+    hs = np.array(sorted(config["h_values"]))
+    for n in sorted(config["n"]):
         n_rows = sorted((r for r in rows if r["N"] == n), key=lambda r: r["h"])
         chis = np.array([r["chi_r"] for r in n_rows])
         statuses = [r["status"] for r in n_rows]
@@ -869,11 +815,10 @@ def cmd_peak_scan(config: SweepConfig, rows: list[dict], warnings_list: list[str
         entry["chi_r_peak"] = chi_peak
         peak_rows.append(entry)
 
-    out = _prepare_outdir(config)
     write_csv(out / "peaks.csv", peak_rows, config, warnings_list, columns=PEAK_COLUMNS)
     write_json(out / "peaks.json", peak_rows, config, warnings_list)
     status = _report(config, rows, warnings_list, [out / "peaks.csv", out / "peaks.json"])
-    if status != EXIT_OK or not config.check or len(peak_rows) < 2:
+    if status != EXIT_OK or not config["check"] or len(peak_rows) < 2:
         return status
     ok_rows = [r for r in peak_rows if r["status"] == "ok"]
     distances = [abs(r["h_peak"] - 1.0) for r in ok_rows]
@@ -895,24 +840,26 @@ def cmd_peak_scan(config: SweepConfig, rows: list[dict], warnings_list: list[str
 # ---------------------------------------------------------------------------
 
 _COMMANDS = {
-    "sweep-h": ("sweep the field h at fixed tau", cmd_sweep_h),
-    "sweep-tau": ("sweep tau at fixed h values", cmd_sweep_tau),
+    "sweep-h": ("sweep the field h at fixed tau", cmd_sweep),
+    "sweep-tau": ("sweep tau at fixed h values", cmd_sweep),
     "compare": ("numeric vs closed-form deviation report", cmd_compare),
     "peak-scan": ("chi_r peak location per system size", cmd_peak_scan),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse exits with status 2 on bad flags; the contract here is 1.
+        return EXIT_USAGE if exc.code == 2 else int(exc.code or 0)
     try:
         config = config_from_args(args)
         tasks, warnings_list = _tasks(config)
-        rows = _run_tasks(tasks, config.jobs)
-        return _COMMANDS[config.command][1](config, rows, warnings_list)
+        # Before the grid runs, so that an unusable --out costs no compute.
+        out = _prepare_outdir(config["out"])
+        rows = _run_tasks(tasks, config["jobs"])
+        return _COMMANDS[config["command"]][1](config, rows, warnings_list, out)
     except UsageError as exc:
         print(f"lmglab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -739,3 +739,172 @@ class TestSharedGroundStates:
                 f"failed: stencil field h={crossing[row['h']]} lies across a k-parity "
                 f"level crossing [h={row['h']}, delta=0.001]"
             )
+
+
+def gp_text(stem, x, y, x_col, y_col, series, logscale=False):
+    """The gnuplot file the writer is pinned to, written out line by line."""
+    lines = [
+        f"# lmglab {lmglab.__version__} gnuplot commands: {y} vs {x}",
+        "set datafile separator ','",
+        "set key top left",
+        f"set xlabel '{x}'",
+        f"set ylabel '{y}'",
+        *(["set logscale y"] if logscale else []),
+        "plot \\",
+    ]
+    plots = [f"  '{stem}.csv' using (column(2)=={n} && strcol(8) eq '{method}' ? "
+             f"column({x_col}) : NaN):(column({y_col})) with linespoints "
+             f"title 'N={n} {method}'" for n, method in series]
+    return "\n".join(lines) + "\n" + ", \\\n".join(plots) + "\n"
+
+
+class TestPlotscripts:
+    def test_sweep_h_files(self, tmp_path):
+        code = main(["sweep-h", "--n", "16,8", "--h-list", "0.5,1.5", "--methods",
+                     "finite-difference,analytic", "--formats", "plotscript",
+                     "--jobs", "1", "--out", str(tmp_path)])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "sweep_h_chi_r.gp", "sweep_h_entropy.gp", "sweep_h_eta.gp"]
+        series = [(8, "analytic"), (8, "finite-difference"),
+                  (16, "analytic"), (16, "finite-difference")]
+        assert (tmp_path / "sweep_h_chi_r.gp").read_text() == \
+            gp_text("sweep_h", "h", "chi_r", 1, 5, series, logscale=True)
+        assert (tmp_path / "sweep_h_eta.gp").read_text() == \
+            gp_text("sweep_h", "h", "eta", 1, 6, series)
+        assert (tmp_path / "sweep_h_entropy.gp").read_text() == \
+            gp_text("sweep_h", "h", "entropy", 1, 7, series)
+
+    def test_sweep_tau_files(self, tmp_path):
+        code = main(["sweep-tau", "--n", "8", "--h-list", "0.5", "--tau-list", "0.25,0.5",
+                     "--formats", "csv,plotscript", "--jobs", "1", "--out", str(tmp_path)])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "sweep_tau.csv", "sweep_tau_entropy.gp", "sweep_tau_eta.gp"]
+        series = [(8, "finite-difference")]
+        assert (tmp_path / "sweep_tau_eta.gp").read_text() == \
+            gp_text("sweep_tau", "tau", "eta", 3, 6, series)
+        assert (tmp_path / "sweep_tau_entropy.gp").read_text() == \
+            gp_text("sweep_tau", "tau", "entropy", 3, 7, series)
+
+
+PEAK_H = ("0.6,0.65,0.7,0.75,0.7999999999999999,0.85,0.8999999999999999,0.95,1.0,"
+          "1.0499999999999998,1.0999999999999999,1.15,1.2")
+
+
+@pytest.mark.parametrize("args, text_file, json_file, line, echo", [
+    (("sweep-h", "--n", "16,8", "--gamma", "0.25", "--h-list", "0.5,1.5",
+      "--methods", "analytic"),
+     "sweep_h.csv", "sweep_h.json",
+     "# config: command=sweep-h delta=auto formats=csv,json gamma=0.25 h_values=0.5,1.5 "
+     "m=None methods=analytic n=16,8 seedless=False skip_errors=False tau=0.5",
+     {"command": "sweep-h", "delta": "auto", "formats": "csv,json", "gamma": 0.25,
+      "h_values": "0.5,1.5", "m": None, "methods": "analytic", "n": "16,8",
+      "seedless": False, "skip_errors": False, "tau": 0.5}),
+    (("sweep-tau", "--n", "8", "--h-list", "0.5", "--tau-start", "0.25", "--tau-stop",
+      "0.75", "--tau-count", "3", "--delta", "0.002", "--methods", "spectral",
+      "--skip-errors"),
+     "sweep_tau.csv", "sweep_tau.json",
+     "# config: command=sweep-tau delta=0.002 formats=csv,json gamma=0.5 h_values=0.5 "
+     "m=None methods=spectral n=8 seedless=False skip_errors=True tau=0.5 "
+     "tau_values=0.25,0.5,0.75",
+     {"command": "sweep-tau", "delta": 0.002, "formats": "csv,json", "gamma": 0.5,
+      "h_values": "0.5", "m": None, "methods": "spectral", "n": "8", "seedless": False,
+      "skip_errors": True, "tau": 0.5, "tau_values": "0.25,0.5,0.75"}),
+    (("compare", "--n", "8", "--m", "2", "--h-list", "0.5,1.5", "--seedless",
+      "--formats", "csv"),
+     "compare.txt", "compare.json",
+     "config: command=compare delta=auto formats=csv gamma=0.5 h_values=0.5,1.5 m=2 "
+     "methods=finite-difference,analytic n=8 seedless=True skip_errors=False tau=0.5",
+     {"command": "compare", "delta": "auto", "formats": "csv", "gamma": 0.5,
+      "h_values": "0.5,1.5", "m": 2, "methods": "finite-difference,analytic", "n": "8",
+      "seedless": True, "skip_errors": False, "tau": 0.5}),
+    (("peak-scan", "--n", "16", "--h-start", "0.6", "--h-stop", "1.2", "--h-count", "13",
+      "--tau", "0.25", "--check"),
+     "peaks.csv", "peaks.json",
+     "# config: check=True command=peak-scan delta=auto formats=csv,json gamma=0.5 "
+     f"h_values={PEAK_H} m=None methods=finite-difference n=16 seedless=False "
+     "skip_errors=False tau=0.25",
+     {"check": True, "command": "peak-scan", "delta": "auto", "formats": "csv,json",
+      "gamma": 0.5, "h_values": PEAK_H, "m": None, "methods": "finite-difference",
+      "n": "16", "seedless": False, "skip_errors": False, "tau": 0.25}),
+], ids=["sweep-h", "sweep-tau", "compare", "peak-scan"])
+def test_config_echo_pinned(tmp_path, args, text_file, json_file, line, echo):
+    assert main([*args, "--jobs", "1", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / text_file).read_text().splitlines()
+    assert [l for l in text if l.startswith(("# config:", "config:"))] == [line]
+    assert json.loads((tmp_path / json_file).read_text())["config"] == echo
+
+
+TOP_USAGE = "usage: lmglab [-h] [--version] {sweep-h,sweep-tau,compare,peak-scan} ...\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep-h", "--n", "8", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+])
+def test_bad_flags_print_argparse_usage(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{TOP_USAGE}lmglab: error: {message}\n"
+
+
+def test_unusable_out_fails_before_any_point(tmp_path, monkeypatch):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+
+    def no_compute(task):
+        raise AssertionError(f"point computed before --out was checked: {task}")
+
+    monkeypatch.setattr(lmglab.cli, "_evaluate_task", no_compute)
+    assert main(["sweep-h", "--n", "8", "--h-list", "0.5", "--jobs", "1",
+                 "--out", str(blocker / "sub")]) == 2
+
+
+@pytest.mark.parametrize("flags", [("--m", "5"), ("--tau", "0.3"),
+                                   ("--m", "5", "--methods", "spectral")])
+def test_sweep_tau_rejects_fixed_subsystem_flags(tmp_path, capsys, flags):
+    # sweep-tau takes M from its tau grid; a fixed M or tau would be ignored.
+    code = main(["sweep-tau", "--n", "16", "--h-list", "0.5", "--tau-list", "0.25,0.5",
+                 *flags, "--jobs", "1", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"unrecognized arguments: {' '.join(flags[:2])}\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_format_list_usage_error(tmp_path, capsys, source):
+    cfg = write_config(tmp_path, "formats =\n")
+    given = ["--formats", ""] if source == "flag" else ["--config", str(cfg)]
+    code = main(["sweep-h", "--n", "8", "--h-list", "0.5", *given, "--jobs", "1",
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == "lmglab: error: empty format list\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, flag, value, expected", [
+    ("sweep-h", "--n", "8,x", "expected comma-separated integers, got '8,x'"),
+    ("sweep-h", "--h-list", "0.5,y", "expected comma-separated numbers, got '0.5,y'"),
+    ("sweep-tau", "--tau-list", "z", "expected comma-separated numbers, got 'z'"),
+    ("sweep-h", "--delta", "x", "delta must be finite and positive, or 'auto', got 'x'"),
+])
+def test_bad_flag_value_names_expected_form(tmp_path, capsys, command, flag, value,
+                                            expected):
+    tau_grid = ["--tau-list", "0.5"] if command == "sweep-tau" else []
+    code = main([command, "--n", "8", "--h-list", "0.5", *tau_grid, flag, value,
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"lmglab {command}: error: argument {flag}: {expected}\n" in err
+    assert "_parse" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bad_config_value_names_line_and_expected_form(tmp_path, capsys):
+    cfg = write_config(tmp_path, "h-list = 0.5\n" "n = x\n")
+    assert main(["sweep-h", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"lmglab: error: {cfg}:2: bad value for n: "
+        "expected comma-separated integers, got 'x'\n")
