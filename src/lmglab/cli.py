@@ -328,7 +328,8 @@ def config_from_args(args: argparse.Namespace) -> dict:
         )
     if not 0.0 <= config["gamma"] <= 1.0:
         raise UsageError(f"--gamma must lie in [0, 1], got {config['gamma']}")
-    _check_tau([config["tau"]], "--tau")
+    if command in _FIXED_TAU:
+        _check_tau([config["tau"]], "--tau")
     _check_tau(config["tau_values"], "tau grid values")
     methods = config["methods"]
     for method in methods:

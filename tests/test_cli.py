@@ -873,6 +873,17 @@ def test_sweep_tau_rejects_fixed_subsystem_flags(tmp_path, capsys, flags):
     assert not (tmp_path / "o").exists()
 
 
+def test_sweep_tau_ignores_fixed_subsystem_keys_in_config(tmp_path):
+    # A config file may carry other subcommands' keys; sweep-tau neither
+    # checks nor uses m and tau, even out of range.
+    cfg = write_config(tmp_path, "tau = 1.5\n" "m = 99\n")
+    code = main(["sweep-tau", "--config", str(cfg), "--n", "16", "--h-list", "0.5",
+                 "--tau-list", "0.25,0.5", "--jobs", "1", "--out", str(tmp_path / "o")])
+    assert code == 0
+    rows = read_rows(tmp_path / "o" / "sweep_tau.csv")
+    assert [(int(r["N"]), float(r["tau"])) for r in rows] == [(16, 0.25), (16, 0.5)]
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_empty_format_list_usage_error(tmp_path, capsys, source):
     cfg = write_config(tmp_path, "formats =\n")
