@@ -7,27 +7,34 @@ sweep-h    chi_g, chi_r, eta and entropy over an h grid, per system size.
 sweep-tau  the same quantities over a subsystem-fraction grid at fixed h;
            M comes from the tau grid, so --tau and --m are not accepted.
 compare    per-point relative deviation of numeric results from the
-           closed forms, plus critical-exponent fits.
-peak-scan  location and height of the chi_r peak per system size.
+           closed forms, plus critical-exponent fits; it needs 'analytic'
+           and at least one numeric method in --methods.
+peak-scan  location and height of the chi_r peak per system size, for
+           exactly one numeric method.  A peak on the h grid's edge is
+           written as a failed row.
 
+Only the sweeps take --formats; compare and peak-scan write fixed files.
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numerical failure
-at one or more points (suppressed by --skip-errors).  The --out directory
-is created and checked to be writable before any point is computed.
-Flags must be spelled out in full.
+at one or more points or peaks (suppressed by --skip-errors).  The --out
+directory is created and checked to be writable before any point is
+computed.  Flags must be spelled out in full.
 
 Configuration may come from a flat ``key=value`` file (--config) whose
 keys are the long flag names.  Each key takes the flag given on the
 command line, else the config-file value, else the built-in default.  A
-grid given on the command line, as a list or as start/stop/count,
-replaces the config file's grid in either form.  --tau outside (0, 1]
-and --gamma outside [0, 1] are usage errors.
+file may carry any subcommand's keys; a subcommand reads, checks and
+records only the keys of its own flags.  A grid given on the command
+line, as a list or as start/stop/count, replaces the config file's grid
+in either form.  --tau outside (0, 1] and --gamma outside [0, 1] are
+usage errors.
 
 All four subcommands evaluate the same kind of grid of independent
 points, one task per (N, h) pair, dispatched to a process pool sized by
 --jobs; a task solves its ground states once for all of its subsystem
 sizes and methods.  Output rows are sorted by (N, h, tau, method) after
 collection, so the result is deterministic regardless of scheduling.
-Each failed point is named on stderr.
+Each failed point, and each peak-scan peak on the grid's edge, is named on
+stderr.
 
 BLAS runs on one thread: unless the user set a thread-count variable
 (OPENBLAS_NUM_THREADS and the like), this module sets OPENBLAS_NUM_THREADS,
@@ -46,7 +53,6 @@ import argparse
 import json
 import math
 import os
-import statistics
 import sys
 import time
 from itertools import product
@@ -103,11 +109,10 @@ EXPONENT_POINTS = 10
 # when fitting the extensive divergence law of chi_r / N.
 EXPONENT_FIT_N = 10**12
 
-# The settings every output echoes, plus tau_values for sweep-tau and check
-# for peak-scan.  jobs is an execution detail, not a scientific input:
-# leaving it out keeps outputs byte-identical across worker counts.
-ECHO_KEYS = ("command", "gamma", "tau", "m", "n", "h_values", "delta", "methods",
-             "formats", "skip_errors", "seedless")
+# Settings an output does not record.  jobs is an execution detail, not a
+# scientific input: leaving it out keeps outputs byte-identical across
+# worker counts.
+NOT_ECHOED = ("config", "out", "jobs")
 
 
 class UsageError(ValueError, argparse.ArgumentTypeError):
@@ -163,7 +168,8 @@ _SWITCH = {"action": "store_const", "const": True}
 
 # Every flag, declared once: (subcommands, flag, argparse keywords).  The
 # config-file keys are the long flag names but --config; a key's value is
-# parsed by the flag's type, and a switch's by _parse_bool.
+# parsed by the flag's type, and a switch's by _parse_bool.  A subcommand's
+# settings are the keys of its own flags, and its outputs record them.
 _OPTIONS = (
     (_SHARED, "--gamma", {"type": float, "help": "anisotropy in [0, 1]"}),
     (_FIXED_TAU, "--tau", {"type": float, "help": "subsystem fraction M/N in (0, 1]"}),
@@ -178,10 +184,11 @@ _OPTIONS = (
     (_SHARED, "--delta", {"type": _parse_delta,
                           "help": "finite-difference step, or 'auto' for 1e-3*max(1,|h|)"}),
     (_SHARED, "--methods", {"type": _split,
-                            "help": f"comma list from {{{','.join(ALL_METHODS)}}}"}),
+                            "help": f"comma list from {{{','.join(ALL_METHODS)}}}; "
+                                    "peak-scan takes one numeric method"}),
     (_SHARED, "--out", {"type": str, "help": "output directory"}),
-    (_SHARED, "--formats", {"type": _split,
-                            "help": f"comma list from {{{','.join(ALL_FORMATS)}}}"}),
+    (("sweep-h", "sweep-tau"), "--formats",
+     {"type": _split, "help": f"comma list from {{{','.join(ALL_FORMATS)}}}"}),
     (_SHARED, "--jobs", {"type": int,
                          "help": "worker processes for the grid, at most one per usable "
                                  "CPU and per task (default: the usable CPUs)"}),
@@ -201,9 +208,14 @@ _OPTIONS = (
 )
 
 
+def _key(flag: str) -> str:
+    """The settings and config-file key of a flag: --h-list gives h_list."""
+    return flag[2:].replace("-", "_")
+
+
 def read_config_file(path: str) -> dict:
     """Flat key=value file; '#' starts a comment, blank lines ignored."""
-    parsers = {flag[2:].replace("-", "_"): options.get("type", _parse_bool)
+    parsers = {_key(flag): options.get("type", _parse_bool)
                for _, flag, options in _OPTIONS if flag != "--config"}
     values = {}
     try:
@@ -263,10 +275,12 @@ def _monotone(values: list[float], what: str) -> list[float]:
     return values
 
 
-def _grid(values: dict, what: str) -> list[float]:
-    if f"{what}_list" in values:
-        return _monotone(list(values[f"{what}_list"]), what)
-    start, stop, count = (values.get(f"{what}_{end}") for end in ("start", "stop", "count"))
+def _grid(config: dict, what: str) -> list[float]:
+    """The grid of config's list or start/stop/count keys, which it removes."""
+    listed, start, stop, count = (config.pop(f"{what}_{end}", None)
+                                  for end in ("list", "start", "stop", "count"))
+    if listed is not None:
+        return _monotone(list(listed), what)
     if start is None or stop is None or count is None:
         raise UsageError(
             f"no {what} grid: give --{what}-list or --{what}-start/--{what}-stop/--{what}-count"
@@ -285,18 +299,20 @@ def _check_tau(values: list[float], what: str) -> None:
 def config_from_args(args: argparse.Namespace) -> dict:
     """Merge per key: defaults, then the config file, then the flags given.
 
-    A grid given on the command line in either form, a list or
-    start/stop/count, replaces the config file's grid in either form.  The
-    merged dict is the run's settings, with the grids as h_values and
-    tau_values (empty but for sweep-tau).
+    Only the keys of the subcommand's own flags are kept.  A grid given on
+    the command line in either form, a list or start/stop/count, replaces
+    the config file's grid in either form.  The merged dict is the run's
+    settings, with the grids as h_values and, for sweep-tau, tau_values in
+    place of their list and start/stop/count keys.
     """
     given = vars(args)
     command = given["command"]
+    own = {"command"} | {_key(flag) for commands, flag, _ in _OPTIONS if command in commands}
     file_values = read_config_file(given["config"]) if "config" in given else {}
     for axis in ("h", "tau"):
         if {f"{axis}_start", f"{axis}_stop", f"{axis}_count"} & given.keys():
             file_values.pop(f"{axis}_list", None)
-    config = {
+    merged = {
         "gamma": 0.5,
         "tau": 0.5,
         "m": None,
@@ -313,8 +329,11 @@ def config_from_args(args: argparse.Namespace) -> dict:
         **file_values,
         **given,
     }
+    config = {key: value for key, value in merged.items() if key in own}
     config["h_values"] = _grid(config, "h")
-    config["tau_values"] = _grid(config, "tau") if command == "sweep-tau" else []
+    if "tau_list" in own:
+        config["tau_values"] = _grid(config, "tau")
+        _check_tau(config["tau_values"], "tau grid values")
 
     n_list = config["n"]
     if not n_list:
@@ -328,25 +347,25 @@ def config_from_args(args: argparse.Namespace) -> dict:
         )
     if not 0.0 <= config["gamma"] <= 1.0:
         raise UsageError(f"--gamma must lie in [0, 1], got {config['gamma']}")
-    if command in _FIXED_TAU:
+    if "tau" in config:
         _check_tau([config["tau"]], "--tau")
-    _check_tau(config["tau_values"], "tau grid values")
     methods = config["methods"]
     for method in methods:
         if method not in ALL_METHODS:
             raise UsageError(f"unknown method {method!r}")
     if not methods:
         raise UsageError("empty method list")
-    for fmt in config["formats"]:
-        if fmt not in ALL_FORMATS:
-            raise UsageError(f"unknown format {fmt!r}")
-    if not config["formats"]:
-        raise UsageError("empty format list")
+    if "formats" in config:
+        for fmt in config["formats"]:
+            if fmt not in ALL_FORMATS:
+                raise UsageError(f"unknown format {fmt!r}")
+        if not config["formats"]:
+            raise UsageError("empty format list")
     if config["jobs"] < 1:
         raise UsageError(f"--jobs must be >= 1, got {config['jobs']}")
     if command == "peak-scan":
-        if "analytic" in methods:
-            raise UsageError("peak-scan works on numeric methods only")
+        if len(methods) != 1 or methods[0] not in NUMERIC_METHODS:
+            raise UsageError(f"peak-scan takes one numeric method, got {','.join(methods)}")
         if len(config["h_values"]) < 3:
             raise UsageError("peak-scan needs at least 3 h grid points")
     if command == "compare":
@@ -357,8 +376,7 @@ def config_from_args(args: argparse.Namespace) -> dict:
 
 def _echo(config: dict) -> dict:
     """The settings an output records, lists joined by commas."""
-    extra = {"sweep-tau": ("tau_values",), "peak-scan": ("check",)}
-    echo = {key: config[key] for key in ECHO_KEYS + extra.get(config["command"], ())}
+    echo = {key: value for key, value in config.items() if key not in NOT_ECHOED}
     for key, value in echo.items():
         if isinstance(value, list):
             echo[key] = ",".join(map(str, value))
@@ -585,12 +603,10 @@ def _tasks(config: dict) -> tuple[list[tuple], list[str]]:
     method, and its sweep_point calls share their ground states: each
     stencil field of the pair is solved once, not once per (M, method).
     sweep-tau takes M from each value of its tau grid; the other commands
-    from --m or --tau.  peak-scan evaluates its first numeric method only.
+    from --m or --tau.
     """
     methods = tuple(config["methods"])
-    if config["command"] == "peak-scan":
-        methods = (next(m for m in methods if m in NUMERIC_METHODS),)
-    if config["command"] == "sweep-tau":
+    if "tau_values" in config:
         taus, m_sub = config["tau_values"], None
     else:
         taus, m_sub = [config["tau"]], config["m"]
@@ -609,20 +625,23 @@ def _tasks(config: dict) -> tuple[list[tuple], list[str]]:
 
 
 def _report(config: dict, rows: list[dict], warnings_list: list[str],
-            files: list[Path]) -> int:
-    """Print the warnings, the files written and each failed point; the exit code."""
+            files: list[Path], failures: tuple[str, ...] | list[str] = ()) -> int:
+    """Print the warnings, the files written and each failure; the exit code.
+
+    The failures are each failed point of rows, then the given ones.
+    """
     for w in warnings_list:
         print(f"warning: {w}", file=sys.stderr)
     for f in files:
         print(f"wrote {f}")
-    bad = [row for row in rows if row["status"] != "ok"]
-    for row in bad:
-        print(
-            f"point N={row['N']} h={row['h']} tau={row['tau']:.6g} "
-            f"[{row['method']}]: {row['status']}",
-            file=sys.stderr,
-        )
-    return EXIT_NUMERICAL if bad and not config["skip_errors"] else EXIT_OK
+    failures = [
+        f"point N={row['N']} h={row['h']} tau={row['tau']:.6g} "
+        f"[{row['method']}]: {row['status']}"
+        for row in rows if row["status"] != "ok"
+    ] + list(failures)
+    for line in failures:
+        print(line, file=sys.stderr)
+    return EXIT_NUMERICAL if failures and not config["skip_errors"] else EXIT_OK
 
 
 # Each sweep's x column and the columns its gnuplot files plot against it.
@@ -678,11 +697,9 @@ def cmd_compare(config: dict, rows: list[dict], warnings_list: list[str], out: P
     numeric_methods = [m for m in config["methods"] if m != "analytic"]
     table = []
     for (n, h), group in sorted(by_key.items()):
-        ana = group.get("analytic")
+        ana = group["analytic"]
         for method in numeric_methods:
-            num = group.get(method)
-            if num is None:
-                continue
+            num = group[method]
             entry = {
                 "N": n,
                 "h": h,
@@ -690,14 +707,14 @@ def cmd_compare(config: dict, rows: list[dict], warnings_list: list[str], out: P
                 "method": method,
                 "status": "ok",
                 "chi_g_numeric": num["chi_g"],
-                "chi_g_analytic": ana["chi_g"] if ana else math.nan,
+                "chi_g_analytic": ana["chi_g"],
                 "chi_r_numeric": num["chi_r"],
-                "chi_r_analytic": ana["chi_r"] if ana else math.nan,
+                "chi_r_analytic": ana["chi_r"],
             }
             if num["status"] != "ok":
                 entry["status"] = num["status"]
-            elif ana is None or ana["status"] != "ok":
-                entry["status"] = ana["status"] if ana else "failed: no analytic row"
+            elif ana["status"] != "ok":
+                entry["status"] = ana["status"]
             else:
                 for name in ("chi_g", "chi_r", "eta", "entropy"):
                     entry[f"{name}_rel_dev"] = _relative_deviation(num[name], ana[name])
@@ -710,7 +727,7 @@ def cmd_compare(config: dict, rows: list[dict], warnings_list: list[str], out: P
             summary[str(n)] = {
                 "points": len(devs),
                 "max_chi_r_rel_dev": max(devs),
-                "median_chi_r_rel_dev": statistics.median(devs),
+                "median_chi_r_rel_dev": float(np.median(devs)),
             }
     try:
         fits = _exponent_fits(config["gamma"], config["tau"])
@@ -781,11 +798,13 @@ def _parabolic_vertex(h3: np.ndarray, y3: np.ndarray) -> tuple[float, float]:
 
 def cmd_peak_scan(config: dict, rows: list[dict], warnings_list: list[str], out: Path) -> int:
     peak_rows = []
+    unbracketed = []
     hs = np.array(sorted(config["h_values"]))
     for n in sorted(config["n"]):
         n_rows = sorted((r for r in rows if r["N"] == n), key=lambda r: r["h"])
         chis = np.array([r["chi_r"] for r in n_rows])
-        statuses = [r["status"] for r in n_rows]
+        failed = [r["status"] for r in n_rows if r["status"] != "ok"]
+        imax = int(np.argmax(chis))
         entry = {
             "N": n,
             "tau": n_rows[0]["tau"],
@@ -796,32 +815,27 @@ def cmd_peak_scan(config: dict, rows: list[dict], warnings_list: list[str], out:
             "delta": n_rows[0]["delta"],
             "status": "ok",
         }
-        if any(s != "ok" for s in statuses):
-            entry["status"] = next(s for s in statuses if s != "ok")
-            peak_rows.append(entry)
-            continue
-        imax = int(np.argmax(chis))
-        if imax == 0 or imax == len(hs) - 1:
-            print(
-                f"peak for N={n} sits on the grid boundary (h={hs[imax]}); "
-                "widen the h grid to bracket it",
-                file=sys.stderr,
-            )
-            raise UsageError(f"peak not bracketed for N={n}")
-        entry["h_grid_max"] = float(hs[imax])
-        entry["chi_r_grid_max"] = float(chis[imax])
-        h_peak, chi_peak = _parabolic_vertex(hs[imax - 1 : imax + 2],
-                                             chis[imax - 1 : imax + 2])
-        entry["h_peak"] = h_peak
-        entry["chi_r_peak"] = chi_peak
+        if failed:
+            entry["status"] = failed[0]
+        elif imax in (0, len(hs) - 1):
+            entry["status"] = (f"failed: chi_r peak on the h grid's edge (h={hs[imax]}); "
+                               "widen the grid to bracket it")
+            unbracketed.append(f"peak N={n} tau={entry['tau']:.6g} "
+                               f"[{n_rows[0]['method']}]: {entry['status']}")
+        else:
+            entry["h_grid_max"] = float(hs[imax])
+            entry["chi_r_grid_max"] = float(chis[imax])
+            entry["h_peak"], entry["chi_r_peak"] = _parabolic_vertex(
+                hs[imax - 1 : imax + 2], chis[imax - 1 : imax + 2])
         peak_rows.append(entry)
 
     write_csv(out / "peaks.csv", peak_rows, config, warnings_list, columns=PEAK_COLUMNS)
     write_json(out / "peaks.json", peak_rows, config, warnings_list)
-    status = _report(config, rows, warnings_list, [out / "peaks.csv", out / "peaks.json"])
-    if status != EXIT_OK or not config["check"] or len(peak_rows) < 2:
-        return status
+    status = _report(config, rows, warnings_list, [out / "peaks.csv", out / "peaks.json"],
+                     unbracketed)
     ok_rows = [r for r in peak_rows if r["status"] == "ok"]
+    if status != EXIT_OK or not config["check"] or len(ok_rows) < 2:
+        return status
     distances = [abs(r["h_peak"] - 1.0) for r in ok_rows]
     heights = [r["chi_r_peak"] for r in ok_rows]
     if any(b >= a for a, b in zip(distances, distances[1:])):

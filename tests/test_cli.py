@@ -333,13 +333,46 @@ class TestPeakScan:
         assert dist == sorted(dist, reverse=True)
         assert heights == sorted(heights)
 
-    def test_boundary_peak_is_usage_error(self, tmp_path):
-        proc = run_cli(
-            "peak-scan", "--n", "32", "--h-start", "1.05", "--h-stop", "1.4",
-            "--h-count", "8", "--out", str(tmp_path),
-        )
-        assert proc.returncode == 1
-        assert "widen" in proc.stderr
+    def test_unbracketed_peak_is_a_failed_row(self, tmp_path):
+        # N = 16 peaks below h = 0.75, on the grid's edge; N = 256 inside it.
+        args = ("peak-scan", "--n", "16,256", "--h-start", "0.75", "--h-stop", "1.15",
+                "--h-count", "9", "--jobs", "1")
+        proc = run_cli(*args, "--out", str(tmp_path / "a"))
+        assert proc.returncode == 3
+        message = "failed: chi_r peak on the h grid's edge (h=0.75); widen the grid to bracket it"
+        assert proc.stderr == f"peak N=16 tau=0.5 [finite-difference]: {message}\n"
+        rows = read_rows(tmp_path / "a" / "peaks.csv")
+        assert (rows[0]["N"], rows[0]["status"], rows[0]["h_peak"]) == ("16", message, "nan")
+        assert (rows[1]["N"], rows[1]["status"]) == ("256", "ok")
+        assert 0.75 < float(rows[1]["h_peak"]) < 1.15
+        statuses = [r["status"] for r in json.loads(
+            (tmp_path / "a" / "peaks.json").read_text())["rows"]]
+        assert statuses == [message, "ok"]
+        skipped = run_cli(*args, "--skip-errors", "--out", str(tmp_path / "b"))
+        assert skipped.returncode == 0 and skipped.stderr == proc.stderr
+        assert strip_timestamp((tmp_path / "b" / "peaks.csv").read_text()) == \
+            strip_timestamp((tmp_path / "a" / "peaks.csv").read_text()).replace(
+                "skip_errors=False", "skip_errors=True")
+
+    def test_check_needs_two_ok_rows(self, tmp_path):
+        # N = 9 fails on the h = 0 parity crossing, so only N = 16 is ok and
+        # nothing is compared.
+        proc = run_cli("peak-scan", "--n", "9,16", "--h-start", "0", "--h-stop", "1.2",
+                       "--h-count", "13", "--skip-errors", "--check", "--jobs", "1",
+                       "--out", str(tmp_path))
+        assert proc.returncode == 0
+        assert [r["status"] == "ok" for r in read_rows(tmp_path / "peaks.csv")] == \
+            [False, True]
+        assert "peak checks passed" not in proc.stdout
+
+    def test_one_numeric_method(self, tmp_path, capsys):
+        code = main(["peak-scan", "--n", "16", "--h-start", "0.6", "--h-stop", "1.2",
+                     "--h-count", "13", "--methods", "finite-difference,spectral",
+                     "--jobs", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == ("lmglab: error: peak-scan takes one numeric "
+                                           "method, got finite-difference,spectral\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestPoolSize:
@@ -431,6 +464,8 @@ class TestConfigFile:
         assert len(rows) == 2 * 2 * 7
         echo = config_echo(tmp_path / "o" / "sweep_tau.csv")
         assert " tau_values=0.5,1.0" in echo and " skip_errors=False" in echo
+        # Nor does it record them.
+        assert " tau=" not in echo and " m=" not in echo
 
     def test_compare_every_key(self, tmp_path):
         cfg = write_config(tmp_path, SHARED_KEYS +
@@ -440,6 +475,9 @@ class TestConfigFile:
         report = json.loads((tmp_path / "o" / "compare.json").read_text())
         assert report["config"]["m"] == 8 and report["config"]["skip_errors"] is True
         assert report["config"]["h_values"] == "0.6,0.7,0.8,0.9,1.0,1.1,1.2"
+        # compare writes fixed files: the file's formats key is read by the
+        # sweeps only.
+        assert "formats" not in report["config"]
         assert len(report["deviations"]) == 2 * 7
         assert (tmp_path / "o" / "compare.txt").exists()
 
@@ -453,7 +491,7 @@ class TestConfigFile:
         assert [int(r["N"]) for r in rows] == [16, 32]
         assert [float(r["tau"]) for r in rows] == [0.5, 0.25]
         echo = config_echo(tmp_path / "o" / "peaks.csv")
-        assert " check=True" in echo and " delta=auto" in echo
+        assert " check=True" in echo and " delta=auto" in echo and " formats=" not in echo
 
     def test_keys_of_other_subcommands_accepted(self, tmp_path):
         cfg = write_config(tmp_path, "n = 8\n" "h-list = 0.5\n" "check = yes\n"
@@ -626,7 +664,7 @@ def strip_timestamps(text: str) -> str:
     (("compare", "--n", "16,8", "--h-list", "1.5,1.0,0.9", "--skip-errors"),
      ("compare.json", "compare.txt")),
     (("peak-scan", "--n", "24,16", "--h-start", "0.6", "--h-stop", "1.2",
-      "--h-count", "13", "--methods", "spectral,finite-difference"),
+      "--h-count", "13", "--methods", "spectral"),
      ("peaks.csv", "peaks.json")),
     # Large enough that an unpinned OpenBLAS would start threads.
     (("sweep-h", "--n", "1024", "--h-list", "0.9,1.0,1.1",
@@ -806,26 +844,24 @@ PEAK_H = ("0.6,0.65,0.7,0.75,0.7999999999999999,0.85,0.8999999999999999,0.95,1.0
       "--skip-errors"),
      "sweep_tau.csv", "sweep_tau.json",
      "# config: command=sweep-tau delta=0.002 formats=csv,json gamma=0.5 h_values=0.5 "
-     "m=None methods=spectral n=8 seedless=False skip_errors=True tau=0.5 "
-     "tau_values=0.25,0.5,0.75",
+     "methods=spectral n=8 seedless=False skip_errors=True tau_values=0.25,0.5,0.75",
      {"command": "sweep-tau", "delta": 0.002, "formats": "csv,json", "gamma": 0.5,
-      "h_values": "0.5", "m": None, "methods": "spectral", "n": "8", "seedless": False,
-      "skip_errors": True, "tau": 0.5, "tau_values": "0.25,0.5,0.75"}),
-    (("compare", "--n", "8", "--m", "2", "--h-list", "0.5,1.5", "--seedless",
-      "--formats", "csv"),
+      "h_values": "0.5", "methods": "spectral", "n": "8", "seedless": False,
+      "skip_errors": True, "tau_values": "0.25,0.5,0.75"}),
+    (("compare", "--n", "8", "--m", "2", "--h-list", "0.5,1.5", "--seedless"),
      "compare.txt", "compare.json",
-     "config: command=compare delta=auto formats=csv gamma=0.5 h_values=0.5,1.5 m=2 "
+     "config: command=compare delta=auto gamma=0.5 h_values=0.5,1.5 m=2 "
      "methods=finite-difference,analytic n=8 seedless=True skip_errors=False tau=0.5",
-     {"command": "compare", "delta": "auto", "formats": "csv", "gamma": 0.5,
+     {"command": "compare", "delta": "auto", "gamma": 0.5,
       "h_values": "0.5,1.5", "m": 2, "methods": "finite-difference,analytic", "n": "8",
       "seedless": True, "skip_errors": False, "tau": 0.5}),
     (("peak-scan", "--n", "16", "--h-start", "0.6", "--h-stop", "1.2", "--h-count", "13",
       "--tau", "0.25", "--check"),
      "peaks.csv", "peaks.json",
-     "# config: check=True command=peak-scan delta=auto formats=csv,json gamma=0.5 "
+     "# config: check=True command=peak-scan delta=auto gamma=0.5 "
      f"h_values={PEAK_H} m=None methods=finite-difference n=16 seedless=False "
      "skip_errors=False tau=0.25",
-     {"check": True, "command": "peak-scan", "delta": "auto", "formats": "csv,json",
+     {"check": True, "command": "peak-scan", "delta": "auto",
       "gamma": 0.5, "h_values": PEAK_H, "m": None, "methods": "finite-difference",
       "n": "16", "seedless": False, "skip_errors": False, "tau": 0.25}),
 ], ids=["sweep-h", "sweep-tau", "compare", "peak-scan"])
@@ -834,6 +870,46 @@ def test_config_echo_pinned(tmp_path, args, text_file, json_file, line, echo):
     text = (tmp_path / text_file).read_text().splitlines()
     assert [l for l in text if l.startswith(("# config:", "config:"))] == [line]
     assert json.loads((tmp_path / json_file).read_text())["config"] == echo
+
+
+def echo_keys_of_options(command: str) -> set[str]:
+    """The keys a subcommand's outputs record, worked out from its flags."""
+    keys = {"command"}
+    for commands, flag, _ in lmglab.cli._OPTIONS:
+        key = flag[2:].replace("-", "_")
+        if command not in commands or key in ("out", "jobs", "config"):
+            continue
+        # A grid's list and start/stop/count flags are recorded as its values.
+        keys.add(key.split("_")[0] + "_values" if key.startswith(("h_", "tau_")) else key)
+    return keys
+
+
+@pytest.mark.parametrize("command, echo_file", [
+    ("sweep-h", "sweep_h.csv"), ("sweep-tau", "sweep_tau.csv"),
+    ("compare", "compare.txt"), ("peak-scan", "peaks.csv"),
+])
+def test_echo_records_the_keys_of_the_subcommands_flags(tmp_path, command, echo_file):
+    # The file carries keys of every subcommand; each records only its own.
+    cfg = write_config(tmp_path, "tau = 0.5\n" "m = 4\n" "formats = csv\n" "check = no\n"
+                       "tau-list = 0.5\n" "seedless = yes\n")
+    code = main([command, "--config", str(cfg), "--n", "16", "--h-start", "0.6",
+                 "--h-stop", "1.2", "--h-count", "12", "--jobs", "1",
+                 "--out", str(tmp_path / "o")])
+    assert code == 0
+    line = next(l for l in (tmp_path / "o" / echo_file).read_text().splitlines()
+                if l.startswith(("# config:", "config:")))
+    assert {item.split("=")[0] for item in line.split(": ", 1)[1].split(" ")} == \
+        echo_keys_of_options(command)
+
+
+@pytest.mark.parametrize("command", ["compare", "peak-scan"])
+def test_formats_flag_only_on_sweeps(tmp_path, capsys, command):
+    code = main([command, "--n", "16", "--h-start", "0.6", "--h-stop", "1.2",
+                 "--h-count", "13", "--formats", "csv", "--jobs", "1",
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "unrecognized arguments: --formats csv\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 TOP_USAGE = "usage: lmglab [-h] [--version] {sweep-h,sweep-tau,compare,peak-scan} ...\n"
