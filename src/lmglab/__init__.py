@@ -36,11 +36,9 @@ _SUBMODULE = {
         "uhlmann_fidelity",
     ), "fidelity"),
     **dict.fromkeys((
-        "BandedHamiltonian",
         "DickeGroundState",
         "EigensolverError",
         "ModelParams",
-        "build_hamiltonian",
         "energy_density",
         "ground_state",
     ), "model"),

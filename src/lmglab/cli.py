@@ -26,7 +26,7 @@ file may carry any subcommand's keys; a subcommand reads, checks and
 records only the keys of its own flags.  A grid given on the command
 line, as a list or as start/stop/count, replaces the config file's grid
 in either form.  --tau outside (0, 1] and --gamma outside [0, 1] are
-usage errors.
+usage errors, as is a system size or a method given twice.
 
 All four subcommands evaluate the same kind of grid of independent
 points, one task per (N, h) pair, dispatched to a process pool sized by
@@ -82,7 +82,6 @@ import numpy as np
 from . import __version__
 from .analytic import (
     CriticalPointError,
-    IsotropicPointError,
     chi_g_analytic,
     chi_r_analytic,
     entropy_analytic,
@@ -296,6 +295,12 @@ def _check_tau(values: list[float], what: str) -> None:
         raise UsageError(f"{what} must lie in (0, 1]")
 
 
+def _check_unique(values: list, what: str) -> None:
+    repeated = sorted({value for value in values if values.count(value) > 1})
+    if repeated:
+        raise UsageError(f"{what} given more than once: {','.join(map(str, repeated))}")
+
+
 def config_from_args(args: argparse.Namespace) -> dict:
     """Merge per key: defaults, then the config file, then the flags given.
 
@@ -340,11 +345,7 @@ def config_from_args(args: argparse.Namespace) -> dict:
         raise UsageError("empty system-size list")
     if any(n < 2 for n in n_list):
         raise UsageError(f"system sizes must be >= 2, got {n_list}")
-    repeated = sorted({n for n in n_list if n_list.count(n) > 1})
-    if repeated:
-        raise UsageError(
-            f"system size given more than once: {','.join(map(str, repeated))}"
-        )
+    _check_unique(n_list, "system size")
     if not 0.0 <= config["gamma"] <= 1.0:
         raise UsageError(f"--gamma must lie in [0, 1], got {config['gamma']}")
     if "tau" in config:
@@ -353,6 +354,7 @@ def config_from_args(args: argparse.Namespace) -> dict:
     for method in methods:
         if method not in ALL_METHODS:
             raise UsageError(f"unknown method {method!r}")
+    _check_unique(methods, "method")
     if not methods:
         raise UsageError("empty method list")
     if "formats" in config:
@@ -450,13 +452,7 @@ def _evaluate_task(task: tuple) -> list[dict]:
                 )
         except CriticalPointError as exc:
             base["status"] = f"singular: {exc}"
-        except (
-            EigensolverError,
-            ReducedDensityError,
-            FidelityError,
-            IsotropicPointError,
-            ValueError,
-        ) as exc:
+        except (EigensolverError, ReducedDensityError, FidelityError, ValueError) as exc:
             base["status"] = f"failed: {exc}"
         rows.append(base)
     return rows
@@ -568,14 +564,15 @@ def write_plotscript(path: Path, csv_name: str, rows: list[dict], x: str, y: str
     ]
     if y == "chi_r":
         header.append("set logscale y")
-    x_column, y_column = COLUMNS.index(x) + 1, COLUMNS.index(y) + 1
+    number = {name: i + 1 for i, name in enumerate(COLUMNS)}
     plots = []
     for n, method in sorted({(row["N"], row["method"]) for row in rows}):
         selector = (
-            f"(column(2)=={n} && strcol(8) eq '{method}' ? column({x_column}) : NaN)"
+            f"(column({number['N']})=={n} && strcol({number['method']}) eq '{method}'"
+            f" ? column({number[x]}) : NaN)"
         )
         plots.append(
-            f"  '{csv_name}' using {selector}:(column({y_column})) "
+            f"  '{csv_name}' using {selector}:(column({number[y]})) "
             f"with linespoints title 'N={n} {method}'"
         )
     header.append("plot \\")

@@ -8,9 +8,13 @@ interaction in a transverse field,
 with the interaction strength fixed to 1 and collective spin operators
 S_a = sum_i sigma_a^i / 2.  The ground state lives in the symmetric
 J = N/2 sector, so the relevant Hilbert space is only N+1 dimensional.
-In that sector the Hamiltonian is a real symmetric banded matrix with
-nonzero bands at offsets 0 and +-2 (S_+^2 and S_-^2 couple m to m+-2),
-so it splits into two symmetric tridiagonal m-parity blocks.
+In that sector H couples the Dicke state k only to k and k +- 2 (S_+^2
+and S_-^2 move m by 2), so it splits exactly into two symmetric
+tridiagonal m-parity blocks, which ``hamiltonian_blocks`` returns and
+``ground_state`` solves one at a time.  ||H||_inf, the scale of the
+parity tie-break and of the residual bound, is the larger of the blocks'
+max row sums, and the residual is checked on the block the ground state
+lives in.
 
 The ground state occupies only a small part of a block's N/2 rows, so
 each block's lowest pair is solved on a window of rows: it starts around
@@ -34,20 +38,14 @@ than through ``scipy.linalg``, because importing ``scipy.linalg`` costs
 more than a typical command-line run computes.  Its ``__init__`` reaches
 ``scipy._lib._array_api``, whose ``array_api_compat.numpy`` calls
 ``clone_module("numpy")`` and so imports every lazy numpy submodule:
-``numpy.f2py`` (0.10 s alone), ``numpy.testing``, ``numpy.ma`` and
-``numpy.random``.  In one ``python -X importtime`` run (scipy 1.17.1,
-numpy 2.4.6, 2-core Intel Xeon) ``scipy.linalg`` took 0.29 s of the
-0.30 s this module needed, 0.19 s of it in that clone.  Over 10
-alternating runs, ``import lmglab.cli`` took 0.48-0.60 s (median 0.58 s)
-with ``from scipy.linalg.lapack import ...`` and takes 0.20-0.27 s
-(median 0.22 s) with the direct load.  The drivers are the very objects
-``scipy.linalg.lapack`` re-exports (``from scipy.linalg._flapack import
-*``), whichever of the two is imported first.  Not even the top-level
-``scipy`` package is imported: its ``__init__`` reaches
-``scipy._lib._testutils`` and with it ``subprocess``, ``locale``,
-``signal``, ``selectors`` and ``sysconfig``, 23 modules in all, so the
-extension is found from the ``linalg`` subdirectory of scipy's package
-directory.  There is no fallback: if a scipy release moves the
+``numpy.f2py``, ``numpy.testing``, ``numpy.ma`` and ``numpy.random``.
+The drivers are the very objects ``scipy.linalg.lapack`` re-exports
+(``from scipy.linalg._flapack import *``), whichever of the two is
+imported first.  Not even the top-level ``scipy`` package is imported:
+its ``__init__`` reaches ``scipy._lib._testutils`` and with it
+``subprocess``, ``locale``, ``signal``, ``selectors`` and ``sysconfig``,
+so the extension is found from the ``linalg`` subdirectory of scipy's
+package directory.  There is no fallback: if a scipy release moves the
 extension, importing this module fails.
 """
 
@@ -142,34 +140,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class BandedHamiltonian:
-    """Symmetric (N+1)x(N+1) matrix stored as its two independent bands.
-
-    Index k = 0..N labels the Dicke state |J, -J + k> with J = N/2, so
-    half-integer magnetic quantum numbers never appear in indexing.
-    ``superdiagonal2[k]`` couples k and k+2; the two m-parity sublattices
-    (even/odd k) therefore decouple exactly.
-    """
-
-    dim: int
-    diagonal: np.ndarray
-    superdiagonal2: np.ndarray
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diagonal * v
-        out[:-2] += self.superdiagonal2 * v[2:]
-        out[2:] += self.superdiagonal2 * v[:-2]
-        return out
-
-    def norm_inf(self) -> float:
-        """Max row sum of absolute values; upper bound on the spectral norm."""
-        rows = np.abs(self.diagonal).copy()
-        rows[:-2] += np.abs(self.superdiagonal2)
-        rows[2:] += np.abs(self.superdiagonal2)
-        return float(rows.max())
-
-
-@dataclass(frozen=True)
 class DickeGroundState:
     """Ground state as the coefficient vector C_k over |J, -J + k>.
 
@@ -189,35 +159,49 @@ class DickeGroundState:
         return None if even and odd else int(odd)
 
 
-def _band_arrays(n: int, gamma: float, h: float) -> tuple[np.ndarray, np.ndarray]:
-    # Raw band construction without the h >= 0 guard, so the h <-> -h spectrum
-    # symmetry can be exercised directly.
-    j = 0.5 * n
-    jj = 0.25 * n * (n + 2)  # J(J+1)
-    m = np.arange(n + 1.0) - j
-    diagonal = -(1.0 + gamma) / (2.0 * n) * (jj - m * m) - h * m
-    m2 = m[:-2]
-    ladder = (jj - m2 * (m2 + 1.0)) * (jj - (m2 + 1.0) * (m2 + 2.0))
-    superdiagonal2 = -(1.0 - gamma) / (4.0 * n) * np.sqrt(ladder)
-    return diagonal, superdiagonal2
+def hamiltonian_blocks(n: int, gamma: float,
+                       h: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The J = N/2 sector Hamiltonian as its two tridiagonal parity blocks.
 
-
-def build_hamiltonian(params: ModelParams) -> BandedHamiltonian:
-    """Assemble the J = N/2 sector Hamiltonian as a banded matrix.
-
-    Matrix elements follow from rewriting the interaction with ladder
-    operators, S_x^2 + gamma*S_y^2 = ((1+gamma)/2)(S^2 - S_z^2)
+    Index k = 0..N labels the Dicke state |J, -J + k> with J = N/2, so
+    half-integer magnetic quantum numbers never appear in indexing.  H
+    couples k only to k and k +- 2, so the even-k and odd-k rows decouple
+    exactly; block s = 0, 1 is returned as (diag, off), the diagonal at
+    k = s, s + 2, ... and the couplings of consecutive rows, both strided
+    views of the bands over all N + 1 rows.  Matrix elements follow from
+    rewriting the interaction with ladder operators,
+    S_x^2 + gamma*S_y^2 = ((1+gamma)/2)(S^2 - S_z^2)
     + ((1-gamma)/4)(S_+^2 + S_-^2):
 
         <k|H|k>   = -(1+gamma)/(2N) * [J(J+1) - m^2] - h*m
         <k+2|H|k> = -(1-gamma)/(4N) * sqrt([J(J+1) - m(m+1)][J(J+1) - (m+1)(m+2)])
 
-    with m = k - J.
+    with m = k - J.  The arguments are not checked, so h < 0 is allowed.
     """
-    diagonal, superdiagonal2 = _band_arrays(params.n, params.gamma, params.h)
-    return BandedHamiltonian(
-        dim=params.n + 1, diagonal=diagonal, superdiagonal2=superdiagonal2
-    )
+    jj = 0.25 * n * (n + 2)  # J(J+1)
+    m = np.arange(n + 1.0) - 0.5 * n
+    diag = -(1.0 + gamma) / (2.0 * n) * (jj - m * m) - h * m
+    m2 = m[:-2]
+    ladder = (jj - m2 * (m2 + 1.0)) * (jj - (m2 + 1.0) * (m2 + 2.0))
+    off = -(1.0 - gamma) / (4.0 * n) * np.sqrt(ladder)  # off[k] couples k and k + 2
+    return (diag[0::2], off[0::2]), (diag[1::2], off[1::2])
+
+
+def _row_sum_max(diag: np.ndarray, off: np.ndarray) -> float:
+    # Max of |d_i| + |e_i| + |e_{i-1}|, added in that order, so the max over
+    # both blocks is ||H||_inf of the whole band to the last bit.
+    rows = np.abs(diag)
+    rows[:-1] += np.abs(off)
+    rows[1:] += np.abs(off)
+    return float(rows.max())
+
+
+def _block_residual(diag: np.ndarray, off: np.ndarray, v: np.ndarray, energy: float) -> float:
+    # ||T v - E v|| for the tridiagonal block T = (diag, off).
+    tv = diag * v
+    tv[:-1] += off * v[1:]
+    tv[1:] += off * v[:-1]
+    return float(np.linalg.norm(tv - energy * v))
 
 
 def _lowest_pair(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray]:
@@ -282,7 +266,7 @@ def _lowest_block_eigenpair(diag: np.ndarray, off: np.ndarray) -> tuple[float, n
 
 
 def ground_state(params: ModelParams) -> DickeGroundState:
-    """Lowest eigenpair of the banded Hamiltonian, gauge fixed.
+    """Lowest eigenpair of the Hamiltonian's parity blocks, gauge fixed.
 
     The solve is done per m-parity block (each block is symmetric
     tridiagonal).  This is not just an optimization: in the broken phase
@@ -302,7 +286,8 @@ def ground_state(params: ModelParams) -> DickeGroundState:
     the window holds the block's lowest eigenvalue.  Otherwise the window
     widens, up to the whole block, which needs no certificate.
 
-    The even sector is returned when E_even <= E_odd + 1e-10 * ||H||_inf.
+    The even sector is returned when E_even <= E_odd + 1e-10 * ||H||_inf,
+    ||H||_inf being the larger of the two blocks' max row sums.
     This is a tolerance, not a degeneracy test: within it the even state
     is returned even when the odd one is lower, so near a level crossing
     of the two sectors the returned sector switches where the splitting
@@ -321,28 +306,26 @@ def ground_state(params: ModelParams) -> DickeGroundState:
     ------
     EigensolverError
         If LAPACK fails to converge or the residual test
-        ||H v - E v|| <= 1e-10 * ||H|| fails.
+        ||T v - E v|| <= 1e-10 * ||H||_inf on the returned block T fails.
     """
-    ham = build_hamiltonian(params)
-    d = ham.diagonal
-    e = ham.superdiagonal2
-    tol = RESIDUAL_TOL * ham.norm_inf()
+    blocks = hamiltonian_blocks(params.n, params.gamma, params.h)
+    tol = RESIDUAL_TOL * max(_row_sum_max(*block) for block in blocks)
     start = params.n % 2  # the block holding k = N
     other = 1 - start
     try:
-        energy, block = _lowest_block_eigenpair(d[start::2], e[start::2])
+        energy, block = _lowest_block_eigenpair(*blocks[start])
         # The even block wins ties, so the odd block must be lower by more
         # than the tolerance to win.
         shift = energy - tol if start == 0 else energy + tol
-        if not _bounded_below(d[other::2], e[other::2], shift):
+        if not _bounded_below(*blocks[other], shift):
             pairs = {start: (energy, block),
-                     other: _lowest_block_eigenpair(d[other::2], e[other::2])}
+                     other: _lowest_block_eigenpair(*blocks[other])}
             start = 0 if pairs[0][0] <= pairs[1][0] + tol else 1
             energy, block = pairs[start]
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise EigensolverError(f"tridiagonal eigensolver failed: {exc}", params) from exc
 
-    coefficients = np.zeros(ham.dim)
+    coefficients = np.zeros(params.n + 1)
     coefficients[start::2] = block
     coefficients /= np.linalg.norm(coefficients)
 
@@ -352,7 +335,8 @@ def ground_state(params: ModelParams) -> DickeGroundState:
     if coefficients[support[0]] < 0.0:
         coefficients = -coefficients
 
-    residual = np.linalg.norm(ham.matvec(coefficients) - energy * coefficients)
+    # The other block's rows of H C - E C are exactly zero.
+    residual = _block_residual(*blocks[start], coefficients[start::2], energy)
     if not np.isfinite(energy) or residual > tol:
         raise EigensolverError(
             f"residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} * ||H|| = {tol:.3e}",

@@ -3,8 +3,9 @@
 These deliberately avoid the banded/Dicke machinery under test: the
 Hamiltonian is assembled from explicit Pauli kron chains, the symmetric
 sector is reached by projection onto normalized Dicke vectors, and
-reduced matrices come from a literal partial trace.  The dense forms that
-production never builds, and exact hypergeometric weights, live here too.
+reduced matrices come from a literal partial trace.  The forms that
+production never builds, the full bands of H and the dense matrices, and
+exact hypergeometric weights live here too.
 
 Conventions: basis index b has spin i on bit (n-1-i), single-spin state
 0 is sigma_z = +1 (up), so a product state with k spins up has
@@ -31,7 +32,7 @@ from lmglab.model import (
     DickeGroundState,
     EigensolverError,
     _lowest_block_eigenpair,
-    build_hamiltonian,
+    hamiltonian_blocks,
 )
 from lmglab.reduced import (
     TRACE_TOL,
@@ -109,10 +110,37 @@ def lift_reduced(matrix: np.ndarray) -> np.ndarray:
     return basis @ matrix @ basis.T
 
 
-def dense_hamiltonian(ham) -> np.ndarray:
-    """The (N+1)x(N+1) matrix of a BandedHamiltonian."""
-    off = np.diag(ham.superdiagonal2, k=2)
-    return np.diag(ham.diagonal) + off + off.T
+def dense_hamiltonian(blocks) -> np.ndarray:
+    """The (N+1)x(N+1) matrix whose k-parity blocks are the tridiagonal blocks."""
+    diagonal, superdiagonal2 = full_bands(blocks)
+    off = np.diag(superdiagonal2, k=2)
+    return np.diag(diagonal) + off + off.T
+
+
+def full_bands(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The (N+1)-row diagonal and the couplings of k and k + 2 (N - 1 of them)."""
+    diagonal = np.empty(sum(diag.size for diag, _ in blocks))
+    superdiagonal2 = np.empty(diagonal.size - 2)
+    for start, (diag, off) in enumerate(blocks):
+        diagonal[start::2] = diag
+        superdiagonal2[start::2] = off
+    return diagonal, superdiagonal2
+
+
+def band_matvec(diagonal, superdiagonal2, v) -> np.ndarray:
+    """H v over the full bands."""
+    out = diagonal * v
+    out[:-2] += superdiagonal2 * v[2:]
+    out[2:] += superdiagonal2 * v[:-2]
+    return out
+
+
+def band_norm_inf(diagonal, superdiagonal2) -> float:
+    """||H||_inf as the max absolute row sum over the full bands."""
+    rows = np.abs(diagonal)
+    rows[:-2] += np.abs(superdiagonal2)
+    rows[2:] += np.abs(superdiagonal2)
+    return float(rows.max())
 
 
 def window_block(rho: ReducedDensity, r: int, start: int, size: int) -> np.ndarray:
@@ -178,24 +206,25 @@ def hypergeometric(n: int, m_sub: int) -> np.ndarray:
 def two_block_ground_state(params) -> DickeGroundState:
     """``ground_state`` solving both parity blocks and comparing them.
 
-    The even block is returned when E_even <= E_odd + RESIDUAL_TOL * ||H||_inf.
+    The even block is returned when E_even <= E_odd + RESIDUAL_TOL * ||H||_inf,
+    and ||H||_inf and the residual are taken over the full bands.
     """
-    ham = build_hamiltonian(params)
-    d, e = ham.diagonal, ham.superdiagonal2
-    energy_even, vec_even = _lowest_block_eigenpair(d[0::2], e[0::2])
-    energy_odd, vec_odd = _lowest_block_eigenpair(d[1::2], e[1::2])
-    scale = ham.norm_inf()
+    blocks = hamiltonian_blocks(params.n, params.gamma, params.h)
+    energy_even, vec_even = _lowest_block_eigenpair(*blocks[0])
+    energy_odd, vec_odd = _lowest_block_eigenpair(*blocks[1])
+    d, e = full_bands(blocks)
+    scale = band_norm_inf(d, e)
     if energy_even <= energy_odd + RESIDUAL_TOL * scale:
         energy, block, start = energy_even, vec_even, 0
     else:
         energy, block, start = energy_odd, vec_odd, 1
-    coefficients = np.zeros(ham.dim)
+    coefficients = np.zeros(params.n + 1)
     coefficients[start::2] = block
     coefficients /= np.linalg.norm(coefficients)
     support = np.flatnonzero(np.abs(coefficients) > GAUGE_EPS)
     if coefficients[support[0]] < 0.0:
         coefficients = -coefficients
-    residual = np.linalg.norm(ham.matvec(coefficients) - energy * coefficients)
+    residual = np.linalg.norm(band_matvec(d, e, coefficients) - energy * coefficients)
     if residual > RESIDUAL_TOL * scale:
         raise EigensolverError(f"residual {residual:.3e}", params)
     return DickeGroundState(params=params, coefficients=coefficients, energy=energy)

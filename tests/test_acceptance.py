@@ -37,7 +37,7 @@ from lmglab.analytic import (
     mu,
 )
 from lmglab.fidelity import fs_finite_difference, fs_spectral, sweep_point
-from lmglab.model import ModelParams, build_hamiltonian, ground_state
+from lmglab.model import ModelParams, ground_state, hamiltonian_blocks
 from lmglab.reduced import Bipartition, reduce_state, von_neumann_entropy
 
 from oracles import (
@@ -89,8 +89,7 @@ def test_01_spectrum_oracle():
     for n in range(2, 11):
         for gamma in (0.0, 0.5, 1.0):
             for h in (0.0, 0.5, 1.0, 1.5):
-                ham = build_hamiltonian(ModelParams(n, gamma, h))
-                ours = np.linalg.eigvalsh(dense_hamiltonian(ham))
+                ours = np.linalg.eigvalsh(dense_hamiltonian(hamiltonian_blocks(n, gamma, h)))
                 oracle = projected_spectrum(n, gamma, h)
                 worst = max(worst, float(np.abs(ours - oracle).max()))
     report(1, "spectrum-vs-pauli-oracle", worst <= 1e-10, f"max |dE| = {worst:.2e}")

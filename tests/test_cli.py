@@ -559,6 +559,32 @@ class TestConfigFile:
         assert "system size given more than once: 16" in proc.stderr
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command, methods", [
+        ("sweep-h", "analytic,analytic"),
+        ("sweep-tau", "finite-difference,spectral,finite-difference"),
+        ("compare", "finite-difference,finite-difference,analytic"),
+        ("peak-scan", "spectral,spectral"),
+    ])
+    def test_repeated_method_usage_error(self, tmp_path, capsys, command, methods):
+        out = tmp_path / "out"
+        tau_grid = ["--tau-list", "0.5"] if command == "sweep-tau" else []
+        code = main([command, "--n", "8", "--h-start", "0.6", "--h-stop", "1.2",
+                     "--h-count", "13", *tau_grid, "--methods", methods,
+                     "--jobs", "1", "--out", str(out)])
+        assert code == 1
+        repeated = methods.split(",")[0]
+        assert capsys.readouterr().err == \
+            f"lmglab: error: method given more than once: {repeated}\n"
+        assert not out.exists()
+
+    def test_repeated_method_in_config_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "n = 8\nh-list = 0.5\nmethods = analytic,analytic\n")
+        assert main(["sweep-h", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "lmglab: error: method given more than once: analytic\n"
+        assert not out.exists()
+
 
 class TestCommandLineGridBeatsConfig:
     """A grid on the command line replaces the config file's grid in either form."""

@@ -12,17 +12,24 @@ from lmglab import model
 from lmglab.cli import BLAS_THREAD_VARS
 from lmglab.model import (
     RESIDUAL_TOL,
-    BandedHamiltonian,
     EigensolverError,
     ModelParams,
-    _band_arrays,
+    _block_residual,
     _lowest_block_eigenpair,
-    build_hamiltonian,
     energy_density,
     ground_state,
+    hamiltonian_blocks,
 )
 
-from oracles import dense_hamiltonian, projected_spectrum, two_block_ground_state
+from oracles import (
+    band_norm_inf,
+    dense_hamiltonian,
+    dicke_basis,
+    full_bands,
+    pauli_hamiltonian,
+    projected_spectrum,
+    two_block_ground_state,
+)
 
 
 class TestModelParams:
@@ -59,61 +66,74 @@ class TestBuildHamiltonian:
     def test_two_spin_entries(self):
         # 2-spin triplet sector at gamma=0, h=2; entries checked by hand
         # against the explicit Pauli construction projected onto J=1.
-        ham = build_hamiltonian(ModelParams(2, 0.0, 2.0))
-        assert ham.dim == 3
-        np.testing.assert_allclose(ham.diagonal, [1.75, -0.5, -2.25], atol=1e-15)
-        np.testing.assert_allclose(ham.superdiagonal2, [-0.25], atol=1e-15)
+        (even_diag, even_off), (odd_diag, odd_off) = hamiltonian_blocks(2, 0.0, 2.0)
+        np.testing.assert_allclose(even_diag, [1.75, -2.25], atol=1e-15)
+        np.testing.assert_allclose(even_off, [-0.25], atol=1e-15)
+        np.testing.assert_allclose(odd_diag, [-0.5], atol=1e-15)
+        assert odd_off.size == 0
 
     def test_isotropic_coupling_vanishes(self):
-        ham = build_hamiltonian(ModelParams(12, 1.0, 0.7))
-        assert np.all(ham.superdiagonal2 == 0.0)
+        for _, off in hamiltonian_blocks(12, 1.0, 0.7):
+            assert np.all(off == 0.0)
 
     def test_band_shapes(self):
-        ham = build_hamiltonian(ModelParams(9, 0.3, 0.4))
-        assert ham.diagonal.shape == (10,)
-        assert ham.superdiagonal2.shape == (8,)
+        # N = 9: k = 0, 2, .., 8 and k = 1, 3, .., 9.
+        shapes = [(diag.shape, off.shape) for diag, off in hamiltonian_blocks(9, 0.3, 0.4)]
+        assert shapes == [((5,), (4,)), ((5,), (4,))]
+        shapes = [(diag.shape, off.shape) for diag, off in hamiltonian_blocks(8, 0.3, 0.4)]
+        assert shapes == [((5,), (4,)), ((4,), (3,))]
 
     def test_spectrum_matches_pauli_oracle(self):
-        ham = build_hamiltonian(ModelParams(8, 0.5, 0.7))
-        ours = np.linalg.eigvalsh(dense_hamiltonian(ham))
+        ours = np.linalg.eigvalsh(dense_hamiltonian(hamiltonian_blocks(8, 0.5, 0.7)))
         oracle = projected_spectrum(8, 0.5, 0.7)
         np.testing.assert_allclose(ours, oracle, atol=1e-10)
 
     def test_spectrum_symmetric_under_field_reversal(self):
-        # The guard forbids h < 0 through the public API; the raw band
+        # The guard forbids h < 0 through the public API; the unchecked block
         # builder exposes the h <-> -h invariance of the spectrum.
         for n, gamma in [(9, 0.3), (12, 0.8)]:
-            plus = BandedHamiltonian(n + 1, *_band_arrays(n, gamma, 1.3))
-            minus = BandedHamiltonian(n + 1, *_band_arrays(n, gamma, -1.3))
+            plus = dense_hamiltonian(hamiltonian_blocks(n, gamma, 1.3))
+            minus = dense_hamiltonian(hamiltonian_blocks(n, gamma, -1.3))
             np.testing.assert_allclose(
-                np.linalg.eigvalsh(dense_hamiltonian(plus)),
-                np.linalg.eigvalsh(dense_hamiltonian(minus)),
-                atol=1e-12,
+                np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus), atol=1e-12
             )
 
     def test_parity_blocks_decouple(self):
-        ham = build_hamiltonian(ModelParams(11, 0.4, 0.9))
-        dense = dense_hamiltonian(ham)
-        even = dense[0::2][:, 0::2]
-        odd = dense[1::2][:, 1::2]
-        union = np.sort(
-            np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)])
-        )
-        np.testing.assert_allclose(union, np.linalg.eigvalsh(dense), atol=1e-12)
+        # The Pauli oracle's J = N/2 projection couples no even k to an odd k.
+        n, gamma, h = 9, 0.4, 0.9
+        basis = dicke_basis(n)
+        projected = basis.T @ pauli_hamiltonian(n, gamma, h) @ basis
+        assert np.abs(projected[0::2, 1::2]).max() <= 1e-12
+        union = np.sort(np.concatenate(
+            [np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+             for d, e in hamiltonian_blocks(n, gamma, h)]
+        ))
+        np.testing.assert_allclose(union, np.linalg.eigvalsh(projected), atol=1e-12)
 
-    def test_matvec_agrees_with_dense(self):
-        ham = build_hamiltonian(ModelParams(10, 0.2, 1.1))
-        rng_free = np.sin(np.arange(11.0))  # fixed, seedless probe vector
-        np.testing.assert_allclose(
-            ham.matvec(rng_free.copy()), dense_hamiltonian(ham) @ rng_free,
-            atol=1e-13,
-        )
+    @pytest.mark.parametrize("n, gamma, h", [(10, 0.2, 1.1), (11, 0.0, 0.4), (2, 0.5, 2.0)])
+    def test_block_residual_agrees_with_dense(self, n, gamma, h):
+        # On each parity block: the ground state at its energy, whose residual
+        # is roundoff, and a fixed, seedless probe vector at a made-up energy.
+        blocks = hamiltonian_blocks(n, gamma, h)
+        dense = dense_hamiltonian(blocks)
+        state = ground_state(ModelParams(n, gamma, h))
+        probe = np.sin(np.arange(n + 1.0))
+        for start in (0, 1):
+            vector = np.zeros(n + 1)
+            vector[start::2] = probe[start::2]
+            cases = [(vector, -0.3)]
+            if state.sector == start:
+                cases.append((state.coefficients, state.energy))
+            for v, energy in cases:
+                ours = _block_residual(*blocks[start], v[start::2], energy)
+                reference = np.linalg.norm(dense @ v - energy * v)
+                assert ours == pytest.approx(reference, rel=1e-12, abs=1e-14)
 
 
 class TestGroundState:
     def test_two_spin_energy_matches_direct_eigensolve(self):
         state = ground_state(ModelParams(2, 0.0, 2.0))
-        dense = dense_hamiltonian(build_hamiltonian(ModelParams(2, 0.0, 2.0)))
+        dense = dense_hamiltonian(hamiltonian_blocks(2, 0.0, 2.0))
         assert state.energy == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-12)
 
     def test_polarized_limit(self):
@@ -153,7 +173,7 @@ class TestGroundState:
     def test_energy_matches_dense_reference(self):
         for n, gamma, h in [(7, 0.0, 0.2), (16, 0.9, 1.4), (25, 0.5, 1.0)]:
             state = ground_state(ModelParams(n, gamma, h))
-            dense = dense_hamiltonian(build_hamiltonian(ModelParams(n, gamma, h)))
+            dense = dense_hamiltonian(hamiltonian_blocks(n, gamma, h))
             assert state.energy == pytest.approx(
                 np.linalg.eigvalsh(dense)[0], abs=1e-11
             )
@@ -203,10 +223,9 @@ class TestWindowedBlockSolve:
     @pytest.mark.parametrize("n", [8, 9, 64, 65, 512, 1024, 4096])
     def test_matches_full_block(self, n, gamma):
         for h in (0.0, 0.1, 0.5, 0.8, 0.97, 1.0, 1.03, 1.3, 2.0, 10.0):
-            d, e = _band_arrays(n, gamma, h)
-            scale = BandedHamiltonian(n + 1, d, e).norm_inf()
-            for start in (0, 1):
-                block = d[start::2], e[start::2]
+            blocks = hamiltonian_blocks(n, gamma, h)
+            scale = band_norm_inf(*full_bands(blocks))
+            for block in blocks:
                 _assert_same_pair(
                     _lowest_block_eigenpair(*block),
                     _full_block_reference(*block),
@@ -259,6 +278,22 @@ class TestWindowedBlockSolve:
         monkeypatch.setattr(model, routine, failing)
         params = ModelParams(64, 0.5, 0.97)
         with pytest.raises(EigensolverError) as info:
+            ground_state(params)
+        assert info.value.params == params
+
+    def test_inexact_vector_fails_the_residual_check(self, monkeypatch):
+        # A 0.1 % error in the largest component leaves a residual near
+        # 1.7e-4, far above the 1e-10 * ||H||_inf bound (3.2e-9 here).
+        real = model.dstein
+
+        def perturbed(*args, **kwargs):
+            vectors, info = real(*args, **kwargs)
+            vectors[np.argmax(np.abs(vectors[:, 0])), 0] *= 1.001
+            return vectors, info
+
+        monkeypatch.setattr(model, "dstein", perturbed)
+        params = ModelParams(64, 0.5, 0.97)
+        with pytest.raises(EigensolverError, match="residual") as info:
             ground_state(params)
         assert info.value.params == params
 
@@ -472,10 +507,10 @@ ExtensionFileLoader.create_module = create
 
 def _reference_ground_energy(params):
     # The full-block energy with ground_state's tie-break.
-    d, e = _band_arrays(params.n, params.gamma, params.h)
-    scale = BandedHamiltonian(params.n + 1, d, e).norm_inf()
-    even = _full_block_reference(d[0::2], e[0::2])[0]
-    odd = _full_block_reference(d[1::2], e[1::2])[0]
+    blocks = hamiltonian_blocks(params.n, params.gamma, params.h)
+    scale = band_norm_inf(*full_bands(blocks))
+    even = _full_block_reference(*blocks[0])[0]
+    odd = _full_block_reference(*blocks[1])[0]
     return even if even <= odd + RESIDUAL_TOL * scale else odd
 
 
