@@ -5,7 +5,8 @@ Subcommands
 -----------
 sweep-h    chi_g, chi_r, eta and entropy over an h grid, per system size.
 sweep-tau  the same quantities over a subsystem-fraction grid at fixed h;
-           M comes from the tau grid, so --tau and --m are not accepted.
+           M comes from the tau grid, so --tau and --m are not accepted,
+           and tau values that round to the same M give one row.
 compare    per-point relative deviation of numeric results from the
            closed forms, plus critical-exponent fits; it needs 'analytic'
            and at least one numeric method in --methods.
@@ -25,8 +26,9 @@ command line, else the config-file value, else the built-in default.  A
 file may carry any subcommand's keys; a subcommand reads, checks and
 records only the keys of its own flags.  A grid given on the command
 line, as a list or as start/stop/count, replaces the config file's grid
-in either form.  --tau outside (0, 1] and --gamma outside [0, 1] are
-usage errors, as is a system size or a method given twice.
+in either form.  --tau outside (0, 1], --gamma outside [0, 1] and an h
+grid value below 0 are usage errors, as is a system size, method or
+format given twice.
 
 All four subcommands evaluate the same kind of grid of independent
 points, one task per (N, h) pair, dispatched to a process pool sized by
@@ -34,7 +36,10 @@ points, one task per (N, h) pair, dispatched to a process pool sized by
 sizes and methods.  Output rows are sorted by (N, h, tau, method) after
 collection, so the result is deterministic regardless of scheduling.
 Each failed point, and each peak-scan peak on the grid's edge, is named on
-stderr.
+stderr.  A warning raised while a point is computed, such as the
+delta-probe's, is named with its point in sorted row order, after the
+M-rounding warnings, and like them goes to stderr, to the CSV's
+"# warning:" lines and to the JSON's warnings.
 
 BLAS runs on one thread: unless the user set a thread-count variable
 (OPENBLAS_NUM_THREADS and the like), this module sets OPENBLAS_NUM_THREADS,
@@ -50,11 +55,14 @@ and recorded for provenance, but runs are always seedless).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
 import sys
 import time
+import warnings
 from itertools import product
 from pathlib import Path
 
@@ -126,18 +134,14 @@ def _split(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in _split(text)]
-    except ValueError:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
-
-
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in _split(text)]
-    except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
+def _list_of(kind: type, nouns: str):
+    """A parser of comma-separated values of ``kind``, named ``nouns`` in its error."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(tok) for tok in _split(text)]
+        except ValueError:
+            raise UsageError(f"expected comma-separated {nouns}, got {text!r}") from None
+    return parse
 
 
 def _parse_bool(text: str) -> bool:
@@ -173,12 +177,12 @@ _OPTIONS = (
     (_SHARED, "--gamma", {"type": float, "help": "anisotropy in [0, 1]"}),
     (_FIXED_TAU, "--tau", {"type": float, "help": "subsystem fraction M/N in (0, 1]"}),
     (_FIXED_TAU, "--m", {"type": int, "help": "explicit subsystem size M (overrides --tau)"}),
-    (_SHARED, "--n", {"type": _parse_int_list, "action": "extend", "metavar": "N[,N...]",
+    (_SHARED, "--n", {"type": _list_of(int, "integers"), "action": "extend", "metavar": "N[,N...]",
                       "help": "system size; repeatable or comma separated"}),
     (_SHARED, "--h-start", {"type": float}),
     (_SHARED, "--h-stop", {"type": float}),
     (_SHARED, "--h-count", {"type": int}),
-    (_SHARED, "--h-list", {"type": _parse_float_list, "metavar": "H[,H...]",
+    (_SHARED, "--h-list", {"type": _list_of(float, "numbers"), "metavar": "H[,H...]",
                            "help": "explicit h values (overrides --h-start/stop/count)"}),
     (_SHARED, "--delta", {"type": _parse_delta,
                           "help": "finite-difference step, or 'auto' for 1e-3*max(1,|h|)"}),
@@ -201,7 +205,7 @@ _OPTIONS = (
     (("sweep-tau",), "--tau-start", {"type": float}),
     (("sweep-tau",), "--tau-stop", {"type": float}),
     (("sweep-tau",), "--tau-count", {"type": int}),
-    (("sweep-tau",), "--tau-list", {"type": _parse_float_list, "metavar": "T[,T...]"}),
+    (("sweep-tau",), "--tau-list", {"type": _list_of(float, "numbers"), "metavar": "T[,T...]"}),
     (("peak-scan",), "--check", {**_SWITCH, "help": "assert peak migration toward h=1 "
                                                     "and growing height"}),
 )
@@ -301,6 +305,15 @@ def _check_unique(values: list, what: str) -> None:
         raise UsageError(f"{what} given more than once: {','.join(map(str, repeated))}")
 
 
+def _check_choices(values: list[str], choices: tuple[str, ...], what: str) -> None:
+    for value in values:
+        if value not in choices:
+            raise UsageError(f"unknown {what} {value!r}")
+    _check_unique(values, what)
+    if not values:
+        raise UsageError(f"empty {what} list")
+
+
 def config_from_args(args: argparse.Namespace) -> dict:
     """Merge per key: defaults, then the config file, then the flags given.
 
@@ -336,6 +349,8 @@ def config_from_args(args: argparse.Namespace) -> dict:
     }
     config = {key: value for key, value in merged.items() if key in own}
     config["h_values"] = _grid(config, "h")
+    if min(config["h_values"]) < 0.0:
+        raise UsageError(f"h grid values must be >= 0, got {min(config['h_values'])!r}")
     if "tau_list" in own:
         config["tau_values"] = _grid(config, "tau")
         _check_tau(config["tau_values"], "tau grid values")
@@ -351,18 +366,9 @@ def config_from_args(args: argparse.Namespace) -> dict:
     if "tau" in config:
         _check_tau([config["tau"]], "--tau")
     methods = config["methods"]
-    for method in methods:
-        if method not in ALL_METHODS:
-            raise UsageError(f"unknown method {method!r}")
-    _check_unique(methods, "method")
-    if not methods:
-        raise UsageError("empty method list")
+    _check_choices(methods, ALL_METHODS, "method")
     if "formats" in config:
-        for fmt in config["formats"]:
-            if fmt not in ALL_FORMATS:
-                raise UsageError(f"unknown format {fmt!r}")
-        if not config["formats"]:
-            raise UsageError("empty format list")
+        _check_choices(config["formats"], ALL_FORMATS, "format")
     if config["jobs"] < 1:
         raise UsageError(f"--jobs must be >= 1, got {config['jobs']}")
     if command == "peak-scan":
@@ -385,6 +391,11 @@ def _echo(config: dict) -> dict:
     if echo["delta"] is None:
         echo["delta"] = "auto"
     return echo
+
+
+def _echo_line(config: dict) -> str:
+    """The recorded settings as sorted key=value pairs on one line."""
+    return " ".join(f"{k}={v}" for k, v in sorted(_echo(config).items()))
 
 
 def _resolve_m_sub(n: int, tau: float, m_sub: int | None) -> tuple[int, str | None]:
@@ -410,51 +421,35 @@ def _resolve_m_sub(n: int, tau: float, m_sub: int | None) -> tuple[int, str | No
 # ---------------------------------------------------------------------------
 
 def _evaluate_task(task: tuple) -> list[dict]:
+    """The rows of one (N, h) task, each with the warnings raised computing it."""
     n, gamma, h, m_subs, delta, methods = task
     # Ground states of this (N, h), shared by every subsystem size and method,
     # and the reduced density matrices per subsystem size, shared by its methods.
     states = {}
     rows = []
     for m_sub, method in product(m_subs, methods):
-        tau_real = m_sub / n
-        base = {
-            "h": h,
-            "N": n,
-            "tau": tau_real,
-            "chi_g": math.nan,
-            "chi_r": math.nan,
-            "eta": math.nan,
-            "entropy": math.nan,
-            "method": method,
-            "delta": math.nan,
-            "status": "ok",
-        }
-        try:
-            if method == "analytic":
-                base["chi_g"] = chi_g_analytic(h, gamma, n)
-                base["chi_r"] = chi_r_analytic(h, gamma, tau_real, n)
-                base["eta"] = base["chi_r"] / base["chi_g"]
-                base["entropy"] = entropy_analytic(h, gamma, tau_real)
-            else:
-                point = sweep_point(
-                    ModelParams(n, gamma, h),
-                    Bipartition(n, m_sub),
-                    delta=delta,
-                    method=method,
-                    states=states,
-                )
-                base.update(
-                    chi_g=point.chi_g,
-                    chi_r=point.chi_r,
-                    eta=point.eta,
-                    entropy=point.entropy,
-                    delta=point.delta,
-                )
-        except CriticalPointError as exc:
-            base["status"] = f"singular: {exc}"
-        except (EigensolverError, ReducedDensityError, FidelityError, ValueError) as exc:
-            base["status"] = f"failed: {exc}"
-        rows.append(base)
+        row = dict.fromkeys(COLUMNS, math.nan)
+        row.update(h=h, N=n, tau=m_sub / n, method=method, status="ok")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                if method == "analytic":
+                    row["chi_g"] = chi_g_analytic(h, gamma, n)
+                    row["chi_r"] = chi_r_analytic(h, gamma, row["tau"], n)
+                    row["eta"] = row["chi_r"] / row["chi_g"]
+                    row["entropy"] = entropy_analytic(h, gamma, row["tau"])
+                else:
+                    point = sweep_point(ModelParams(n, gamma, h), Bipartition(n, m_sub),
+                                        delta=delta, method=method, states=states)
+                    row.update((name, getattr(point, name)) for name in COLUMNS
+                               if hasattr(point, name))
+            except CriticalPointError as exc:
+                row["status"] = f"singular: {exc}"
+            except (EigensolverError, ReducedDensityError, FidelityError, ValueError) as exc:
+                row["status"] = f"failed: {exc}"
+        # Not a column: main moves these into the run's warnings.
+        row["warnings"] = [str(w.message) for w in caught]
+        rows.append(row)
     return rows
 
 
@@ -503,24 +498,17 @@ def _timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _csv_quote(text: str) -> str:
-    if any(ch in text for ch in ",\"\n"):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def write_csv(path: Path, rows: list[dict], config: dict,
               warnings_list: list[str], columns=COLUMNS) -> None:
-    lines = [
-        f"# lmglab {__version__} {config['command']}",
-        f"# timestamp: {_timestamp()}",
-        "# config: " + " ".join(f"{k}={v}" for k, v in sorted(_echo(config).items())),
-    ]
-    lines.extend(f"# warning: {w}" for w in warnings_list)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_csv_quote(_fmt(row[c])) for c in columns))
-    path.write_text("\n".join(lines) + "\n")
+    text = io.StringIO()
+    text.write(f"# lmglab {__version__} {config['command']}\n"
+               f"# timestamp: {_timestamp()}\n"
+               f"# config: {_echo_line(config)}\n")
+    text.writelines(f"# warning: {w}\n" for w in warnings_list)
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
+    path.write_text(text.getvalue())
 
 
 def _json_clean(value):
@@ -615,10 +603,15 @@ def _tasks(config: dict) -> tuple[list[tuple], list[str]]:
             m, warning = _resolve_m_sub(n, tau, m_sub)
             if warning:
                 warnings_list.append(warning)
-            m_subs.append(m)
+            if m not in m_subs:  # tau values that round to one M give one row
+                m_subs.append(m)
         for h in config["h_values"]:
             tasks.append((n, config["gamma"], h, tuple(m_subs), config["delta"], methods))
     return tasks, warnings_list
+
+
+def _point_label(row: dict) -> str:
+    return f"point N={row['N']} h={row['h']} tau={row['tau']:.6g} [{row['method']}]"
 
 
 def _report(config: dict, rows: list[dict], warnings_list: list[str],
@@ -631,11 +624,8 @@ def _report(config: dict, rows: list[dict], warnings_list: list[str],
         print(f"warning: {w}", file=sys.stderr)
     for f in files:
         print(f"wrote {f}")
-    failures = [
-        f"point N={row['N']} h={row['h']} tau={row['tau']:.6g} "
-        f"[{row['method']}]: {row['status']}"
-        for row in rows if row["status"] != "ok"
-    ] + list(failures)
+    failures = [f"{_point_label(row)}: {row['status']}"
+                for row in rows if row["status"] != "ok"] + list(failures)
     for line in failures:
         print(line, file=sys.stderr)
     return EXIT_NUMERICAL if failures and not config["skip_errors"] else EXIT_OK
@@ -733,7 +723,7 @@ def cmd_compare(config: dict, rows: list[dict], warnings_list: list[str], out: P
 
     text_lines = [
         f"lmglab {__version__} compare report",
-        "config: " + " ".join(f"{k}={v}" for k, v in sorted(_echo(config).items())),
+        f"config: {_echo_line(config)}",
         "",
         f"{'N':>6} {'h':>12} {'method':>18} {'chi_r num':>14} {'chi_r analytic':>14} "
         f"{'rel dev':>10}  status",
@@ -871,6 +861,7 @@ def main(argv: list[str] | None = None) -> int:
         # Before the grid runs, so that an unusable --out costs no compute.
         out = _prepare_outdir(config["out"])
         rows = _run_tasks(tasks, config["jobs"])
+        warnings_list += [f"{_point_label(row)}: {w}" for row in rows for w in row.pop("warnings")]
         return _COMMANDS[config["command"]][1](config, rows, warnings_list, out)
     except UsageError as exc:
         print(f"lmglab: error: {exc}", file=sys.stderr)

@@ -254,6 +254,19 @@ class TestSweepTau:
         rows = read_rows(tmp_path / "sweep_tau.csv")
         assert float(rows[0]["tau"]) == 0.2
 
+    def test_taus_rounding_to_one_m_give_one_row(self, tmp_path, capsys):
+        # At N = 8, tau = 0.3 and 0.31 both round to M = 2; at N = 100 they
+        # stay M = 30 and 31.  Each tau keeps its rounding warning.
+        code = main(["sweep-tau", "--n", "8,100", "--h-list", "0.5", "--tau-list", "0.3,0.31",
+                     "--methods", "analytic", "--jobs", "1", "--out", str(tmp_path)])
+        assert code == 0
+        rows = read_rows(tmp_path / "sweep_tau.csv")
+        assert [(int(r["N"]), float(r["tau"])) for r in rows] == \
+            [(8, 0.25), (100, 0.3), (100, 0.31)]
+        err = capsys.readouterr().err
+        assert err.count("for N=8; rounded to M=2") == 2
+        assert err.count("for N=100") == 0
+
     def test_eta_collapse_away_from_transition(self, tmp_path):
         # Fig-3 style behavior: eta(tau) nearly independent of N at h=0.6,
         # but separating and moving toward 1 at the transition h=1.0.
@@ -648,6 +661,26 @@ class TestRangeChecks:
         assert proc.stderr.strip() == f"lmglab: error: h grid values must be finite, got {value}"
         assert not (tmp_path / "sweep_h.csv").exists()
 
+    @pytest.mark.parametrize("source, value", [
+        (["--h-list=-0.5,0.5"], "-0.5"),
+        (["--h-start", "-0.1", "--h-stop", "0.5", "--h-count", "3"], "-0.1"),
+        ("h-start = -0.2\nh-stop = 0.2\nh-count = 2\n", "-0.2"),
+    ], ids=["list", "range", "config"])
+    def test_negative_h_grid_usage_error(self, tmp_path, capsys, monkeypatch, source, value):
+        def no_compute(task):
+            raise AssertionError(f"point computed for a negative field: {task}")
+
+        monkeypatch.setattr(lmglab.cli, "_evaluate_task", no_compute)
+        if isinstance(source, str):
+            source = ["--config", str(write_config(tmp_path, source))]
+        out = tmp_path / "o"
+        code = main(["sweep-h", "--n", "8", *source,
+                     "--methods", "finite-difference,analytic", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"lmglab: error: h grid values must be >= 0, got {value}\n"
+        assert not out.exists()
+
     def test_non_finite_tau_grid_usage_error(self, tmp_path):
         proc = run_cli("sweep-tau", "--n", "8", "--h-list", "0.5", "--tau-start", "0.5",
                        "--tau-stop", "nan", "--tau-count", "2", "--out", str(tmp_path))
@@ -708,6 +741,28 @@ def test_outputs_identical_across_jobs(tmp_path, args, files):
         a = strip_timestamps((tmp_path / "a" / name).read_text())
         b = strip_timestamps((tmp_path / "b" / name).read_text())
         assert a == b, name
+
+
+def test_probe_warnings_reach_the_outputs(tmp_path):
+    # At N = 4096, M = 1, h = 1 the delta-probe finds chi_g drifting 2e-3;
+    # N = 1024 gives a second task, so --jobs 2 runs two workers on two CPUs.
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        proc = run_cli("sweep-h", "--gamma", "0.5", "--m", "1", "--n", "1024,4096",
+                       "--h-list", "1.0", "--jobs", jobs, "--out", str(out), check=True)
+        assert "DeltaProbeWarning:" not in proc.stderr
+        csv_text = (out / "sweep_h.csv").read_text()
+        doc = json.loads((out / "sweep_h.json").read_text())
+        (warning,) = doc["warnings"]
+        assert warning.startswith("point N=4096 h=1.0 tau=0.000244141 [finite-difference]: "
+                                  "chi_g drifts ")
+        assert f"# warning: {warning}\n" in csv_text
+        assert f"warning: {warning}\n" in proc.stderr
+        assert len(doc["rows"]) == 2 and set(doc["rows"][0]) == set(HEADER.split(","))
+        outputs.append((strip_timestamps(csv_text),
+                        strip_timestamps((out / "sweep_h.json").read_text()), proc.stderr))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("given, record", [
@@ -995,6 +1050,34 @@ def test_empty_format_list_usage_error(tmp_path, capsys, source):
     assert code == 1
     assert capsys.readouterr().err == "lmglab: error: empty format list\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_repeated_format_usage_error(tmp_path, capsys, source):
+    cfg = write_config(tmp_path, "formats = csv,json,csv\n")
+    given = ["--formats", "csv,json,csv"] if source == "flag" else ["--config", str(cfg)]
+    code = main(["sweep-h", "--n", "8", "--h-list", "0.5", *given, "--jobs", "1",
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == "lmglab: error: format given more than once: csv\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_csv_quotes_commas_quotes_and_newlines(tmp_path):
+    # RFC 4180 quoting: a field holding a comma, a double quote or a newline
+    # is quoted, and a double quote inside it is doubled.
+    rows = [dict.fromkeys(lmglab.cli.COLUMNS, math.nan) for _ in range(3)]
+    for row, status in zip(rows, ['failed: bad "x", at h=0.5', "failed: a\nb", "ok"]):
+        row.update(N=8, method="analytic", status=status)
+    config = {"command": "sweep-h", "delta": None, "n": [8]}
+    lmglab.cli.write_csv(tmp_path / "q.csv", rows, config, [])
+    assert (tmp_path / "q.csv").read_text().split("\n")[4:] == [
+        'nan,8,nan,nan,nan,nan,nan,analytic,nan,"failed: bad ""x"", at h=0.5"',
+        'nan,8,nan,nan,nan,nan,nan,analytic,nan,"failed: a',
+        'b"',
+        "nan,8,nan,nan,nan,nan,nan,analytic,nan,ok",
+        "",
+    ]
 
 
 @pytest.mark.parametrize("command, flag, value, expected", [

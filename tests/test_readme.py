@@ -1,7 +1,9 @@
-"""README's library example runs as written, so it names no deleted API."""
+"""README's examples run as written, so they name no deleted API or flag."""
 
+import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +21,28 @@ def test_library_use_example_runs():
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 2
+
+
+def test_command_line_examples_run(tmp_path):
+    section = README.read_text().split("## Command line", 1)[1]
+    script = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line) for line in script.replace("\\\n", " ").splitlines()
+                if line.startswith("lmglab ")]
+    assert [argv[1] for argv in commands] == ["sweep-h", "sweep-tau", "compare", "peak-scan"]
+    src = Path(lmglab.__file__).resolve().parents[1]
+    procs = {}
+    for argv in commands:
+        out = argv.index("--out") + 1
+        argv[out] = str(tmp_path / argv[out])
+        procs[argv[1]] = subprocess.run([sys.executable, "-m", *argv], capture_output=True,
+                                        text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                                        timeout=300)
+    # The closed forms are singular at h = 1, the only failures of figure 1.
+    assert procs.pop("sweep-h").returncode == 3
+    rows = json.loads((tmp_path / "runs" / "fig1" / "sweep_h.json").read_text())["rows"]
+    assert sorted((r["N"], r["h"], r["method"], r["status"].split(":")[0])
+                  for r in rows if r["status"] != "ok") == \
+        [(n, 1.0, "analytic", "singular") for n in (64, 128, 256, 512)]
+    for proc in procs.values():
+        assert proc.returncode == 0, proc.stderr
+    assert "peak checks passed" in procs["peak-scan"].stdout
