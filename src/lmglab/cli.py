@@ -8,13 +8,15 @@ sweep-tau  the same quantities over a subsystem-fraction grid at fixed h;
            M comes from the tau grid, so --tau and --m are not accepted,
            and tau values that round to the same M give one row.
 compare    per-point relative deviation of numeric results from the
-           closed forms, plus critical-exponent fits; it needs 'analytic'
-           and at least one numeric method in --methods.
+           closed forms, plus critical-exponent fits at --tau, which its
+           outputs name even when --m sets the rows' M; it needs
+           'analytic' and at least one numeric method in --methods.
 peak-scan  location and height of the chi_r peak per system size, for
            exactly one numeric method.  A peak on the h grid's edge is
            written as a failed row.
 
-Only the sweeps take --formats; compare and peak-scan write fixed files.
+Only the sweeps take --formats, and plotscript needs csv, the file its
+gnuplot commands read; compare and peak-scan write fixed files.
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numerical failure
 at one or more points or peaks (suppressed by --skip-errors).  The --out
 directory is created and checked to be writable before any point is
@@ -169,15 +171,18 @@ _SHARED = ("sweep-h", "sweep-tau", "compare", "peak-scan")
 _FIXED_TAU = ("sweep-h", "compare", "peak-scan")  # sweep-tau takes M from its tau grid
 _SWITCH = {"action": "store_const", "const": True}
 
-# Every flag, declared once: (subcommands, flag, argparse keywords).  The
-# config-file keys are the long flag names but --config; a key's value is
-# parsed by the flag's type, and a switch's by _parse_bool.  A subcommand's
-# settings are the keys of its own flags, and its outputs record them.
+# Every flag, declared once: (subcommands, flag, argparse keywords plus the
+# setting's default, None where a row gives none).  The config-file keys are
+# the long flag names but --config; a key's value is parsed by the flag's
+# type, and a switch's by _parse_bool.  A subcommand's settings are the keys
+# of its own flags, and its outputs record them.
 _OPTIONS = (
-    (_SHARED, "--gamma", {"type": float, "help": "anisotropy in [0, 1]"}),
-    (_FIXED_TAU, "--tau", {"type": float, "help": "subsystem fraction M/N in (0, 1]"}),
+    (_SHARED, "--gamma", {"type": float, "default": 0.5, "help": "anisotropy in [0, 1]"}),
+    (_FIXED_TAU, "--tau", {"type": float, "default": 0.5,
+                           "help": "subsystem fraction M/N in (0, 1]"}),
     (_FIXED_TAU, "--m", {"type": int, "help": "explicit subsystem size M (overrides --tau)"}),
     (_SHARED, "--n", {"type": _list_of(int, "integers"), "action": "extend", "metavar": "N[,N...]",
+                      "default": [64, 128, 256, 512],
                       "help": "system size; repeatable or comma separated"}),
     (_SHARED, "--h-start", {"type": float}),
     (_SHARED, "--h-stop", {"type": float}),
@@ -186,28 +191,30 @@ _OPTIONS = (
                            "help": "explicit h values (overrides --h-start/stop/count)"}),
     (_SHARED, "--delta", {"type": _parse_delta,
                           "help": "finite-difference step, or 'auto' for 1e-3*max(1,|h|)"}),
-    (_SHARED, "--methods", {"type": _split,
+    (_SHARED, "--methods", {"type": _split, "default": ["finite-difference"],
                             "help": f"comma list from {{{','.join(ALL_METHODS)}}}; "
                                     "peak-scan takes one numeric method"}),
-    (_SHARED, "--out", {"type": str, "help": "output directory"}),
+    (_SHARED, "--out", {"type": str, "default": "out", "help": "output directory"}),
     (("sweep-h", "sweep-tau"), "--formats",
-     {"type": _split, "help": f"comma list from {{{','.join(ALL_FORMATS)}}}"}),
+     {"type": _split, "default": ["csv", "json"],
+      "help": f"comma list from {{{','.join(ALL_FORMATS)}}}"}),
     (_SHARED, "--jobs", {"type": int,
                          "help": "worker processes for the grid, at most one per usable "
                                  "CPU and per task (default: the usable CPUs)"}),
-    (_SHARED, "--skip-errors", {**_SWITCH,
+    (_SHARED, "--skip-errors", {**_SWITCH, "default": False,
                                 "help": "record failed points and exit 0 instead of 3"}),
     (_SHARED, "--config", {"type": str,
                            "help": "flat key=value config file; flags override it"}),
-    (_SHARED, "--seedless", {**_SWITCH,
+    (_SHARED, "--seedless", {**_SWITCH, "default": False,
                              "help": "assert the deterministic, RNG-free run mode "
                                      "(always on)"}),
     (("sweep-tau",), "--tau-start", {"type": float}),
     (("sweep-tau",), "--tau-stop", {"type": float}),
     (("sweep-tau",), "--tau-count", {"type": int}),
     (("sweep-tau",), "--tau-list", {"type": _list_of(float, "numbers"), "metavar": "T[,T...]"}),
-    (("peak-scan",), "--check", {**_SWITCH, "help": "assert peak migration toward h=1 "
-                                                    "and growing height"}),
+    (("peak-scan",), "--check", {**_SWITCH, "default": False,
+                                 "help": "assert peak migration toward h=1 "
+                                         "and growing height"}),
 )
 
 
@@ -258,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                            allow_abbrev=False)
         for commands, flag, options in _OPTIONS:
             if command in commands:
-                p.add_argument(flag, **options)
+                p.add_argument(flag, **{k: v for k, v in options.items() if k != "default"})
     return parser
 
 
@@ -325,33 +332,22 @@ def config_from_args(args: argparse.Namespace) -> dict:
     """
     given = vars(args)
     command = given["command"]
-    own = {"command"} | {_key(flag) for commands, flag, _ in _OPTIONS if command in commands}
+    defaults = {_key(flag): options.get("default")
+                for commands, flag, options in _OPTIONS if command in commands}
+    if command == "compare":
+        defaults["methods"] = ["finite-difference", "analytic"]
+    defaults["jobs"] = _usable_cpus()
     file_values = read_config_file(given["config"]) if "config" in given else {}
     for axis in ("h", "tau"):
         if {f"{axis}_start", f"{axis}_stop", f"{axis}_count"} & given.keys():
             file_values.pop(f"{axis}_list", None)
-    merged = {
-        "gamma": 0.5,
-        "tau": 0.5,
-        "m": None,
-        "n": [64, 128, 256, 512],
-        "delta": None,
-        "methods": ["finite-difference", "analytic"] if command == "compare"
-                   else ["finite-difference"],
-        "out": "out",
-        "formats": ["csv", "json"],
-        "jobs": _usable_cpus(),
-        "skip_errors": False,
-        "seedless": False,
-        "check": False,
-        **file_values,
-        **given,
-    }
-    config = {key: value for key, value in merged.items() if key in own}
+    config = {key: given.get(key, file_values.get(key, default))
+              for key, default in defaults.items()}
+    config["command"] = command
     config["h_values"] = _grid(config, "h")
     if min(config["h_values"]) < 0.0:
         raise UsageError(f"h grid values must be >= 0, got {min(config['h_values'])!r}")
-    if "tau_list" in own:
+    if "tau_list" in config:
         config["tau_values"] = _grid(config, "tau")
         _check_tau(config["tau_values"], "tau grid values")
 
@@ -369,6 +365,8 @@ def config_from_args(args: argparse.Namespace) -> dict:
     _check_choices(methods, ALL_METHODS, "method")
     if "formats" in config:
         _check_choices(config["formats"], ALL_FORMATS, "format")
+        if "plotscript" in config["formats"] and "csv" not in config["formats"]:
+            raise UsageError("format 'plotscript' needs 'csv': its gnuplot files read the CSV")
     if config["jobs"] < 1:
         raise UsageError(f"--jobs must be >= 1, got {config['jobs']}")
     if command == "peak-scan":
@@ -716,10 +714,12 @@ def cmd_compare(config: dict, rows: list[dict], warnings_list: list[str], out: P
                 "max_chi_r_rel_dev": max(devs),
                 "median_chi_r_rel_dev": float(np.median(devs)),
             }
+    # The fits read --tau, not the --m that the rows may use, and say so.
+    fits = {"tau": config["tau"]}
     try:
-        fits = _exponent_fits(config["gamma"], config["tau"])
+        fits.update(_exponent_fits(config["gamma"], config["tau"]))
     except ValueError as exc:  # gamma = 1 or a bad tau make the fits singular
-        fits = {"error": str(exc)}
+        fits["error"] = str(exc)
 
     text_lines = [
         f"lmglab {__version__} compare report",
@@ -744,7 +744,7 @@ def cmd_compare(config: dict, rows: list[dict], warnings_list: list[str], out: P
         )
     text_lines.append("")
     text_lines.append(
-        "critical-exponent fits over |h-1| in "
+        f"critical-exponent fits at tau={fits['tau']:.6g} over |h-1| in "
         f"[{EXPONENT_WINDOW[0]:g}, {EXPONENT_WINDOW[1]:g}]:"
     )
     if "error" in fits:
@@ -786,22 +786,14 @@ def _parabolic_vertex(h3: np.ndarray, y3: np.ndarray) -> tuple[float, float]:
 def cmd_peak_scan(config: dict, rows: list[dict], warnings_list: list[str], out: Path) -> int:
     peak_rows = []
     unbracketed = []
-    hs = np.array(sorted(config["h_values"]))
     for n in sorted(config["n"]):
-        n_rows = sorted((r for r in rows if r["N"] == n), key=lambda r: r["h"])
+        n_rows = [r for r in rows if r["N"] == n]  # sorted by h: one tau, one method
+        hs = np.array([r["h"] for r in n_rows])
         chis = np.array([r["chi_r"] for r in n_rows])
         failed = [r["status"] for r in n_rows if r["status"] != "ok"]
         imax = int(np.argmax(chis))
-        entry = {
-            "N": n,
-            "tau": n_rows[0]["tau"],
-            "h_peak": math.nan,
-            "chi_r_peak": math.nan,
-            "h_grid_max": math.nan,
-            "chi_r_grid_max": math.nan,
-            "delta": n_rows[0]["delta"],
-            "status": "ok",
-        }
+        entry = dict.fromkeys(PEAK_COLUMNS, math.nan)
+        entry.update(N=n, tau=n_rows[0]["tau"], delta=n_rows[0]["delta"], status="ok")
         if failed:
             entry["status"] = failed[0]
         elif imax in (0, len(hs) - 1):

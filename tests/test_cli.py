@@ -322,6 +322,20 @@ class TestCompare:
         )
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("gamma, fits_ok", [("0.5", True), ("1", False)])
+    def test_exponent_fits_name_their_tau(self, tmp_path, gamma, fits_ok):
+        # --m sets the rows' tau, while the fits stay at --tau's default.
+        code = main(["compare", "--gamma", gamma, "--m", "1", "--n", "64",
+                     "--h-list", "0.6,1.5", "--jobs", "1", "--out", str(tmp_path)])
+        assert code == (0 if fits_ok else 3)  # gamma = 1 fails every point
+        report = json.loads((tmp_path / "compare.json").read_text())
+        assert {row["tau"] for row in report["rows"]} == {1 / 64}
+        fits = report["exponent_fits"]
+        assert fits["tau"] == 0.5
+        assert ("error" not in fits) == fits_ok
+        assert "critical-exponent fits at tau=0.5 over |h-1| in [1e-05, 0.0001]:\n" in \
+            (tmp_path / "compare.txt").read_text()
+
 
 class TestPeakScan:
     def test_single_n_single_row_no_check(self, tmp_path):
@@ -880,11 +894,11 @@ def gp_text(stem, x, y, x_col, y_col, series, logscale=False):
 class TestPlotscripts:
     def test_sweep_h_files(self, tmp_path):
         code = main(["sweep-h", "--n", "16,8", "--h-list", "0.5,1.5", "--methods",
-                     "finite-difference,analytic", "--formats", "plotscript",
+                     "finite-difference,analytic", "--formats", "csv,plotscript",
                      "--jobs", "1", "--out", str(tmp_path)])
         assert code == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "sweep_h_chi_r.gp", "sweep_h_entropy.gp", "sweep_h_eta.gp"]
+            "sweep_h.csv", "sweep_h_chi_r.gp", "sweep_h_entropy.gp", "sweep_h_eta.gp"]
         series = [(8, "analytic"), (8, "finite-difference"),
                   (16, "analytic"), (16, "finite-difference")]
         assert (tmp_path / "sweep_h_chi_r.gp").read_text() == \
@@ -1063,6 +1077,18 @@ def test_repeated_format_usage_error(tmp_path, capsys, source):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_plotscript_without_csv_usage_error(tmp_path, capsys, source):
+    cfg = write_config(tmp_path, "formats = json,plotscript\n")
+    given = ["--formats", "json,plotscript"] if source == "flag" else ["--config", str(cfg)]
+    code = main(["sweep-h", "--n", "8", "--h-list", "0.5,0.6", *given, "--jobs", "1",
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "lmglab: error: format 'plotscript' needs 'csv': its gnuplot files read the CSV\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_csv_quotes_commas_quotes_and_newlines(tmp_path):
     # RFC 4180 quoting: a field holding a comma, a double quote or a newline
     # is quoted, and a double quote inside it is doubled.
@@ -1104,3 +1130,16 @@ def test_bad_config_value_names_line_and_expected_form(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"lmglab: error: {cfg}:2: bad value for n: "
         "expected comma-separated integers, got 'x'\n")
+
+
+def test_left_off_n_and_out_take_their_defaults(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["compare", "--h-list", "1.5", "--jobs", "1"]) == 0
+    rows = json.loads((tmp_path / "out" / "compare.json").read_text())["rows"]
+    assert sorted({row["N"] for row in rows}) == [64, 128, 256, 512]
+
+
+def test_jobs_defaults_to_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(lmglab.cli, "_usable_cpus", lambda: 3)
+    args = lmglab.cli.build_parser().parse_args(["sweep-h", "--h-list", "0.5"])
+    assert lmglab.cli.config_from_args(args)["jobs"] == 3

@@ -9,7 +9,9 @@ the N^(-2/3) critical window (Dusuel and Vidal, PRL 93, 237204 (2004)).
 
 Every point is finite-difference at delta = 1e-4 and gamma = 0.5.  The
 bounds are the theory's, not fits to the measured values: a ratio of 1/2
-between consecutive relative deviations is the 1/N law.
+between consecutive relative deviations is the 1/N law, and, once the 1/N
+term is cancelled, a ratio of 1/4 is the 1/N^2 law (Dusuel and Vidal, PRB
+71, 224420 (2005), derive the 1/N corrections).
 """
 
 import math
@@ -51,6 +53,21 @@ def test_deviation_from_closed_forms_halves_per_doubling(off_critical):
         for devs in (chi_g, chi_r):
             ratios = [b / a for a, b in zip(devs, devs[1:])]
             assert all(0.45 <= r <= 0.55 for r in ratios), (h, tau, ratios)
+
+
+def test_extrapolated_deviation_quarters_per_doubling(off_critical):
+    # R(N) is the numeric value over the closed form, and R2(N) = 2R(N) - R(N/2)
+    # cancels its 1/N term.  Above N = 2048 the finite-difference error at
+    # delta = 1e-4 sets a floor under |R2 - 1|.
+    h, grid = off_critical
+    sizes = [n for n in OFF_CRITICAL_SIZES if n <= 2048]
+    for tau in TAUS:
+        chi_g = [grid[n][tau].chi_g / chi_g_analytic(h, GAMMA, n) for n in sizes]
+        chi_r = [grid[n][tau].chi_r / chi_r_analytic(h, GAMMA, tau, n) for n in sizes]
+        for r in (chi_g, chi_r):
+            devs = [abs(2 * b - a - 1) for a, b in zip(r, r[1:])]
+            ratios = [b / a for a, b in zip(devs, devs[1:])]
+            assert all(0.15 <= x <= 0.35 for x in ratios), (h, tau, ratios)
 
 
 def test_eta_collapses_over_n_but_not_over_tau(off_critical):

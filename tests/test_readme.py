@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import lmglab
+from lmglab.cli import _OPTIONS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -46,3 +47,11 @@ def test_command_line_examples_run(tmp_path):
     for proc in procs.values():
         assert proc.returncode == 0, proc.stderr
     assert "peak checks passed" in procs["peak-scan"].stdout
+
+
+def test_command_line_section_names_every_flag():
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    # As a whole word: --m inside --methods, or --tau inside --tau-list, does not count.
+    missing = [flag for _, flag, _ in _OPTIONS
+               if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", section)]
+    assert missing == []
