@@ -12,18 +12,15 @@ __version__ = "0.1.0"
 
 _SUBMODULE = {
     **dict.fromkeys((
-        "AnalyticPoint",
         "CriticalPointError",
         "IsotropicPointError",
         "alpha",
-        "analytic_point",
         "chi_g_analytic",
         "chi_r_analytic",
         "entropy_analytic",
         "greens",
         "loglog_slope",
         "mu",
-        "theta0",
     ), "analytic"),
     **dict.fromkeys((
         "FidelityError",
@@ -39,7 +36,6 @@ _SUBMODULE = {
         "DickeGroundState",
         "EigensolverError",
         "ModelParams",
-        "energy_density",
         "ground_state",
     ), "model"),
     **dict.fromkeys((

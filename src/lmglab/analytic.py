@@ -22,7 +22,6 @@ positive there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,33 +34,6 @@ class CriticalPointError(ValueError):
 
 class IsotropicPointError(ValueError):
     """gamma = 1 is outside the supported anisotropy range."""
-
-
-@dataclass(frozen=True)
-class AnalyticPoint:
-    """All closed-form quantities at one (h, gamma, tau, n)."""
-
-    h: float
-    gamma: float
-    tau: float
-    n: int
-    alpha: float
-    mu: float
-    g_pp: float
-    g_mm: float
-    varphi: float
-    epsilon: float
-    theta0: float
-    chi_g: float
-    chi_r: float
-    eta: float
-    entropy: float
-
-
-def theta0(h: float) -> float:
-    """Mean-field rotation angle: arccos h in the broken phase, else 0."""
-    _check_field(h)
-    return math.acos(h) if h <= 1.0 else 0.0
 
 
 def _check_field(h: float) -> None:
@@ -79,6 +51,11 @@ def _check_size(n: int) -> None:
 def _check_alpha(alpha_value: float) -> None:
     if not (math.isfinite(alpha_value) and alpha_value > 0.0):
         raise ValueError(f"alpha must be finite and positive, got {alpha_value}")
+
+
+def _check_tau(tau: float) -> None:
+    if not (0.0 < tau <= 1.0):
+        raise ValueError(f"tau must lie in (0, 1], got {tau}")
 
 
 def _check_point_args(h: float, gamma: float) -> None:
@@ -113,8 +90,7 @@ def mu(alpha_value: float, tau: float) -> float:
     sqrt(tau(1-tau)/alpha) as alpha -> 0.
     """
     _check_alpha(alpha_value)
-    if not (0.0 < tau <= 1.0):
-        raise ValueError(f"tau must lie in (0, 1], got {tau}")
+    _check_tau(tau)
     if tau == 1.0:
         return 1.0
     prod = (tau * alpha_value + (1.0 - tau)) * (tau + alpha_value * (1.0 - tau))
@@ -128,8 +104,7 @@ def greens(alpha_value: float, tau: float) -> tuple[float, float]:
     They satisfy -G^{++} G^{--} = mu^2 identically.
     """
     _check_alpha(alpha_value)
-    if not (0.0 < tau <= 1.0):
-        raise ValueError(f"tau must lie in (0, 1], got {tau}")
+    _check_tau(tau)
     g_pp = 1.0 + (1.0 / alpha_value - 1.0) * tau
     g_mm = (1.0 - alpha_value) * tau - 1.0
     return g_pp, g_mm
@@ -173,9 +148,11 @@ def chi_r_analytic(h: float, gamma: float, tau: float, n: int) -> float:
         + mu^2 / (4 (mu^2 + 1)) * [d_h ln|mu / G^{++}|]^2
 
     plus, in the broken phase only, the extensive term
-    N tau / (4 G^{++} (1 - h^2)).  The h-derivatives are exact, by the
-    chain rule through alpha' = d_h alpha.  With
-    mu^2 = tau^2 + (1-tau)^2 + tau(1-tau)(alpha + 1/alpha) the first term
+    N tau / (4 G^{++} (1 - h^2)), whose G^{++} enters through the mode's
+    Bogoliubov angle, e^{2 varphi} = mu / G^{++}; the reduced spectrum
+    decays as e^{-k epsilon}, epsilon = ln((mu+1)/(mu-1)).  The
+    h-derivatives are exact, by the chain rule through alpha' = d_h alpha.
+    With mu^2 = tau^2 + (1-tau)^2 + tau(1-tau)(alpha + 1/alpha) the first term
     is tau(1-tau)(1+alpha)^2 alpha'^2 / (16 mu^2 alpha^3), which has no
     0/0 where mu = 1 (tau = 1, or alpha = 1 on the curve h^2 = gamma),
     and d_h ln|mu / G^{++}| =
@@ -183,8 +160,7 @@ def chi_r_analytic(h: float, gamma: float, tau: float, n: int) -> float:
     At tau = 1 this is exactly chi_g in the symmetric phase.
     """
     _check_size(n)
-    if not (0.0 < tau <= 1.0):
-        raise ValueError(f"tau must lie in (0, 1], got {tau}")
+    _check_tau(tau)
     a = alpha(h, gamma)
     d_alpha = _alpha_derivative(h, gamma, a)
     mu_sq = mu(a, tau) ** 2
@@ -207,8 +183,7 @@ def entropy_analytic(h: float, gamma: float, tau: float) -> float:
     with x = 1 in the broken phase (twofold ground degeneracy) and x = 0
     in the symmetric phase.  The mu = 1 limit returns x ln 2 exactly.
     """
-    if not (0.0 < tau <= 1.0):
-        raise ValueError(f"tau must lie in (0, 1], got {tau}")
+    _check_tau(tau)
     mu0 = mu(alpha(h, gamma), tau)
     degeneracy = math.log(2.0) if h < 1.0 else 0.0
     if mu0 == 1.0:
@@ -216,34 +191,6 @@ def entropy_analytic(h: float, gamma: float, tau: float) -> float:
     up = 0.5 * (mu0 + 1.0)
     down = 0.5 * (mu0 - 1.0)
     return up * math.log(up) - down * math.log(down) + degeneracy
-
-
-def analytic_point(h: float, gamma: float, tau: float, n: int) -> AnalyticPoint:
-    """Bundle every closed-form quantity at one parameter point."""
-    a = alpha(h, gamma)
-    mu0 = mu(a, tau)
-    g_pp, g_mm = greens(a, tau)
-    varphi = math.atanh((mu0 - g_pp) / (mu0 + g_pp))
-    epsilon = math.inf if mu0 == 1.0 else math.log((mu0 + 1.0) / (mu0 - 1.0))
-    chi_g = chi_g_analytic(h, gamma, n)
-    chi_r = chi_r_analytic(h, gamma, tau, n)
-    return AnalyticPoint(
-        h=h,
-        gamma=gamma,
-        tau=tau,
-        n=n,
-        alpha=a,
-        mu=mu0,
-        g_pp=g_pp,
-        g_mm=g_mm,
-        varphi=varphi,
-        epsilon=epsilon,
-        theta0=theta0(h),
-        chi_g=chi_g,
-        chi_r=chi_r,
-        eta=chi_r / chi_g,
-        entropy=entropy_analytic(h, gamma, tau),
-    )
 
 
 def loglog_slope(x: np.ndarray, y: np.ndarray) -> float:

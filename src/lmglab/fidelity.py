@@ -232,15 +232,14 @@ def sweep_point(
     part: Bipartition,
     delta: float | None = None,
     method: str = "finite-difference",
-    probe: bool | None = None,
     states: dict | None = None,
 ) -> SweepPoint:
     """Global and reduced susceptibility, eta and entropy at one h.
 
-    ``delta=None`` selects the automatic step and (unless ``probe`` is
-    forced off) re-evaluates chi_g at delta/2, warning if the two differ
-    by more than 0.1%.  chi_g always comes from pure-state overlaps;
-    ``method`` selects how chi_r is computed from the reduced matrices.
+    ``delta=None`` selects the automatic step and re-evaluates chi_g at
+    delta/2, warning if the two differ by more than 0.1%.  chi_g always
+    comes from pure-state overlaps; ``method`` selects how chi_r is
+    computed from the reduced matrices.
     A stencil across a k-parity level crossing raises FidelityError.
 
     Each distinct stencil field is solved once per call.  ``states``, if
@@ -257,10 +256,7 @@ def sweep_point(
         raise ValueError(f"bipartition n={part.n} does not match params n={params.n}")
     if method not in ("finite-difference", "spectral"):
         raise ValueError(f"unknown method {method!r}")
-    use_auto = delta is None
-    step = auto_delta(params.h) if use_auto else float(delta)
-    if probe is None:
-        probe = use_auto
+    step = auto_delta(params.h) if delta is None else float(delta)
 
     # The chi_g and chi_r stencils share their fields.
     solved = {} if states is None else states
@@ -284,7 +280,7 @@ def sweep_point(
         return state_at(h).coefficients
 
     chi_g = fs_finite_difference(coefficients_at, params.h, step)
-    if probe:
+    if delta is None:
         chi_half = fs_finite_difference(coefficients_at, params.h, 0.5 * step)
         scale = max(abs(chi_g), abs(chi_half), 1e-300)
         if abs(chi_g - chi_half) / scale > 1e-3:

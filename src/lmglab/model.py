@@ -346,13 +346,3 @@ def ground_state(params: ModelParams) -> DickeGroundState:
     coefficients.flags.writeable = False
     return DickeGroundState(params=params, coefficients=coefficients, energy=energy)
 
-
-def energy_density(state: DickeGroundState) -> float:
-    """Ground energy per spin.
-
-    For N -> infinity this approaches the classical minimum
-    (m^2 - 1 - 2hm)/4 with m = min(h, 1): -(1 + h^2)/4 in the broken
-    phase and -h/2 in the polarized phase.  Useful as a cheap
-    numeric/analytic consistency check.
-    """
-    return state.energy / state.params.n

@@ -71,10 +71,6 @@ class Bipartition:
                 f"subsystem size must lie in [1, {self.n}], got {self.m_sub}"
             )
 
-    @cached_property
-    def tau(self) -> float:
-        return self.m_sub / self.n
-
 
 @dataclass(frozen=True)
 class ReducedDensity:

@@ -36,7 +36,7 @@ from lmglab.analytic import (
     loglog_slope,
     mu,
 )
-from lmglab.fidelity import fs_finite_difference, fs_spectral, sweep_point
+from lmglab.fidelity import auto_delta, fs_finite_difference, fs_spectral, sweep_point
 from lmglab.model import ModelParams, ground_state, hamiltonian_blocks
 from lmglab.reduced import Bipartition, reduce_state, von_neumann_entropy
 
@@ -66,7 +66,7 @@ def critical_points():
     points = {}
     for n in FIG1_SIZES:
         points[n] = sweep_point(
-            ModelParams(n, GAMMA, 1.0), Bipartition(n, n // 2), probe=False
+            ModelParams(n, GAMMA, 1.0), Bipartition(n, n // 2), delta=auto_delta(1.0)
         )
     return points
 
@@ -79,7 +79,8 @@ def peak_grid_points():
     for n in FIG1_SIZES:
         part = Bipartition(n, n // 2)
         curves[n] = [
-            sweep_point(ModelParams(n, GAMMA, float(h)), part, probe=False) for h in hs
+            sweep_point(ModelParams(n, GAMMA, float(h)), part, delta=auto_delta(h))
+            for h in hs
         ]
     return curves
 
@@ -164,7 +165,7 @@ def test_05_chi_r_convergence():
         devs = []
         for n in (128, 256, 512, 1024):
             point = sweep_point(
-                ModelParams(n, GAMMA, h), Bipartition(n, n // 2), probe=False
+                ModelParams(n, GAMMA, h), Bipartition(n, n // 2), delta=auto_delta(h)
             )
             target = chi_r_analytic(h, GAMMA, TAU, n)
             devs.append(abs(point.chi_r - target) / abs(target))

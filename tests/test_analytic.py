@@ -8,39 +8,25 @@ from lmglab.analytic import (
     CriticalPointError,
     IsotropicPointError,
     alpha,
-    analytic_point,
     chi_g_analytic,
     chi_r_analytic,
     entropy_analytic,
     greens,
     loglog_slope,
     mu,
-    theta0,
 )
-from lmglab.fidelity import sweep_point
+from lmglab.fidelity import auto_delta, sweep_point
 from lmglab.model import ModelParams
 from lmglab.reduced import Bipartition
 
 
-class TestTheta0:
-    def test_values(self):
-        assert theta0(0.0) == pytest.approx(math.pi / 2, abs=1e-15)
-        assert theta0(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert theta0(2.0) == 0.0
-
-    def test_negative_field_rejected(self):
-        with pytest.raises(ValueError):
-            theta0(-0.5)
-
-
 @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, -0.5])
 @pytest.mark.parametrize("closed_form", [
-    theta0,
     lambda h: alpha(h, 0.5),
     lambda h: chi_g_analytic(h, 0.5, 64),
     lambda h: chi_r_analytic(h, 0.5, 0.5, 64),
     lambda h: entropy_analytic(h, 0.5, 0.5),
-], ids=["theta0", "alpha", "chi_g", "chi_r", "entropy"])
+], ids=["alpha", "chi_g", "chi_r", "entropy"])
 def test_non_finite_or_negative_field_rejected(closed_form, h):
     # Left unchecked, nan and inf would read 0.0 or NaN.
     with pytest.raises(ValueError, match=f"field must be finite and >= 0, got {h}"):
@@ -85,6 +71,19 @@ def test_non_finite_or_non_positive_alpha_rejected(closed_form, alpha_value):
     with pytest.raises(ValueError,
                        match=f"alpha must be finite and positive, got {alpha_value}"):
         closed_form(alpha_value, 0.5)
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.5, 1.5, math.nan, math.inf])
+@pytest.mark.parametrize("closed_form", [
+    lambda tau: mu(0.5, tau),
+    lambda tau: greens(0.5, tau),
+    lambda tau: chi_r_analytic(1.5, 0.5, tau, 64),
+    lambda tau: entropy_analytic(1.5, 0.5, tau),
+], ids=["mu", "greens", "chi_r", "entropy"])
+def test_tau_outside_unit_interval_rejected(closed_form, tau):
+    message = f"tau must lie in (0, 1], got {tau}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        closed_form(tau)
 
 
 class TestAlpha:
@@ -335,31 +334,15 @@ class TestEntropyAnalytic:
 
 
 class TestAnalyticPoint:
-    def test_bundle_consistency(self):
-        point = analytic_point(1.5, 0.5, 0.5, 256)
-        assert point.alpha == pytest.approx(math.sqrt(0.5), rel=1e-14)
-        assert point.eta == pytest.approx(point.chi_r / point.chi_g, rel=1e-14)
-        assert point.epsilon == pytest.approx(
-            math.log((point.mu + 1.0) / (point.mu - 1.0)), rel=1e-12
-        )
-        # exp(2 varphi) = mu / G^{++} ties the Bogoliubov angle to the
-        # Green's function; this is what makes the extensive term of the
-        # reduced susceptibility equal N tau / (4 G^{++} (1 - h^2)).
-        assert math.exp(2.0 * point.varphi) == pytest.approx(
-            point.mu / point.g_pp, rel=1e-12
-        )
-
-    def test_pure_subsystem_epsilon_infinite(self):
-        point = analytic_point(1.5, 0.5, 1.0, 64)
-        assert point.mu == 1.0
-        assert math.isinf(point.epsilon)
-        assert point.theta0 == 0.0
+    """The closed forms at one point against the numerics."""
 
     def test_cross_module_against_numerics(self):
-        point = analytic_point(1.5, 0.5, 0.5, 256)
         numeric = sweep_point(
-            ModelParams(256, 0.5, 1.5), Bipartition(256, 128), probe=False
+            ModelParams(256, 0.5, 1.5), Bipartition(256, 128), delta=auto_delta(1.5)
         )
-        assert abs(numeric.chi_r - point.chi_r) / point.chi_r < 0.06
-        assert abs(numeric.chi_g - point.chi_g) / point.chi_g < 0.06
-        assert abs(numeric.entropy - point.entropy) / point.entropy < 0.02
+        chi_g = chi_g_analytic(1.5, 0.5, 256)
+        chi_r = chi_r_analytic(1.5, 0.5, 0.5, 256)
+        entropy = entropy_analytic(1.5, 0.5, 0.5)
+        assert abs(numeric.chi_r - chi_r) / chi_r < 0.06
+        assert abs(numeric.chi_g - chi_g) / chi_g < 0.06
+        assert abs(numeric.entropy - entropy) / entropy < 0.02

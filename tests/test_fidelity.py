@@ -271,9 +271,9 @@ class TestFsSpectral:
         # N = 256 is in the even sector, the other three in the odd one.
         for n, m_sub, h in [(256, 128, 1.5), (255, 128, 1.5), (9, 4, 0.7), (15, 7, 0.3)]:
             part = Bipartition(n, m_sub)
-            fd = sweep_point(ModelParams(n, 0.5, h), part, probe=False)
-            sp = sweep_point(ModelParams(n, 0.5, h), part, method="spectral",
-                             probe=False)
+            fd = sweep_point(ModelParams(n, 0.5, h), part, delta=auto_delta(h))
+            sp = sweep_point(ModelParams(n, 0.5, h), part, delta=auto_delta(h),
+                             method="spectral")
             assert abs(fd.chi_r - sp.chi_r) / fd.chi_r < 1e-3, n
 
     def test_dimension_mismatch(self):
@@ -533,7 +533,7 @@ class TestSweep:
 
     def test_points_and_invariants(self):
         part = Bipartition(32, 16)
-        points = [sweep_point(ModelParams(32, 0.5, h), part, probe=False)
+        points = [sweep_point(ModelParams(32, 0.5, h), part, delta=auto_delta(h))
                   for h in (0.6, 0.9, 1.2)]
         assert [p.h for p in points] == [0.6, 0.9, 1.2]
         for p in points:
@@ -544,7 +544,7 @@ class TestSweep:
             assert p.method == "finite-difference"
 
     def test_auto_delta_recorded(self):
-        point = sweep_point(ModelParams(24, 0.5, 2.0), Bipartition(24, 12), probe=False)
+        point = sweep_point(ModelParams(24, 0.5, 2.0), Bipartition(24, 12))
         assert point.delta == pytest.approx(2e-3)
 
     @pytest.mark.parametrize("method", ["finite-difference", "spectral"])
@@ -557,7 +557,8 @@ class TestSweep:
         # gamma=1, h=0 makes chi_g exactly zero (S_z is conserved, the
         # polarized tower is h-independent), so eta is undefined there.
         with pytest.raises(FidelityError):
-            sweep_point(ModelParams(16, 1.0, 0.0), Bipartition(16, 8), probe=False)
+            sweep_point(ModelParams(16, 1.0, 0.0), Bipartition(16, 8),
+                        delta=auto_delta(0.0))
 
     @pytest.mark.parametrize("method", ["finite-difference", "spectral"])
     @pytest.mark.parametrize("n, h", [(9, 0.0), (9, 0.157), (9, 0.1575), (8, 0.0883)])
@@ -582,9 +583,15 @@ class TestSweep:
         assert point.chi_g == pytest.approx(4.163, rel=1e-3)
 
     def test_probe_warns_when_step_too_coarse(self):
-        with pytest.warns(DeltaProbeWarning):
-            sweep_point(ModelParams(96, 0.5, 1.0), Bipartition(96, 48), delta=0.2,
-                        probe=True)
+        # At N = 4096, M = 1, h = 1 the automatic step is too coarse: chi_g
+        # drifts about 2e-3 when it is halved.  A step given explicitly,
+        # even the same one, is not probed.
+        params, part = ModelParams(4096, 0.5, 1.0), Bipartition(4096, 1)
+        with pytest.warns(DeltaProbeWarning, match="chi_g drifts"):
+            sweep_point(params, part)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeltaProbeWarning)
+            sweep_point(params, part, delta=1e-3)
 
     def test_peak_sharpens_and_migrates(self):
         hs = np.linspace(0.7, 1.1, 21)
@@ -592,7 +599,7 @@ class TestSweep:
         for n in (32, 64):
             part = Bipartition(n, n // 2)
             chis = np.array([sweep_point(ModelParams(n, 0.5, float(h)), part,
-                                         probe=False).chi_r for h in hs])
+                                         delta=auto_delta(h)).chi_r for h in hs])
             peaks[n] = (hs[int(np.argmax(chis))], chis.max())
         assert abs(peaks[64][0] - 1.0) < abs(peaks[32][0] - 1.0)
         assert peaks[64][1] > peaks[32][1]
@@ -613,17 +620,17 @@ class TestStencilSharing:
         return fields
 
     @pytest.mark.parametrize(
-        "h, method, probe, solves",
+        "h, method, delta, solves",
         [
-            (0.8, "finite-difference", True, 5),
-            (0.8, "finite-difference", False, 3),
-            (0.8, "spectral", True, 7),
-            (0.0, "finite-difference", True, 3),
+            (0.8, "finite-difference", None, 5),
+            (0.8, "finite-difference", auto_delta(0.8), 3),
+            (0.8, "spectral", None, 7),
+            (0.0, "finite-difference", None, 3),
         ],
     )
-    def test_solve_counts(self, solved_fields, h, method, probe, solves):
-        sweep_point(ModelParams(40, 0.5, h), Bipartition(40, 20), method=method,
-                    probe=probe)
+    def test_solve_counts(self, solved_fields, h, method, delta, solves):
+        sweep_point(ModelParams(40, 0.5, h), Bipartition(40, 20), delta=delta,
+                    method=method)
         assert len(solved_fields) == solves
         assert len(set(solved_fields)) == solves
 

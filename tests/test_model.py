@@ -16,7 +16,6 @@ from lmglab.model import (
     ModelParams,
     _block_residual,
     _lowest_block_eigenpair,
-    energy_density,
     ground_state,
     hamiltonian_blocks,
 )
@@ -185,19 +184,23 @@ class TestGroundState:
 
 
 class TestEnergyDensity:
+    # For N -> infinity the ground energy per spin approaches the classical
+    # minimum (m^2 - 1 - 2hm)/4 with m = min(h, 1): -(1 + h^2)/4 for h <= 1
+    # and -h/2 above.
+
     def test_symmetric_phase_limit(self):
         # h=2, m=1: (1 - 1 - 4)/4 = -1
         state = ground_state(ModelParams(512, 0.5, 2.0))
-        assert energy_density(state) == pytest.approx(-1.0, abs=2e-3)
+        assert state.energy / state.params.n == pytest.approx(-1.0, abs=2e-3)
 
     def test_broken_phase_limit(self):
         # h=0.5, m=h: (m^2 - 1 - 2hm)/4 = -(1 + 0.25)/4 = -0.3125
         state = ground_state(ModelParams(512, 0.5, 0.5))
-        assert energy_density(state) == pytest.approx(-0.3125, abs=2e-3)
+        assert state.energy / state.params.n == pytest.approx(-0.3125, abs=2e-3)
 
     def test_deviation_shrinks_with_n(self):
         devs = [
-            abs(energy_density(ground_state(ModelParams(n, 0.5, 2.0))) + 1.0)
+            abs(ground_state(ModelParams(n, 0.5, 2.0)).energy / n + 1.0)
             for n in (128, 256, 512)
         ]
         assert devs[0] > devs[1] > devs[2]
@@ -517,11 +520,11 @@ def _reference_ground_energy(params):
 class TestLargeN:
     @pytest.mark.parametrize("h,limit", [(0.5, -0.3125), (1.0, -0.5), (1.5, -0.75)])
     def test_hundred_thousand_spins(self, h, limit):
-        # Limits from energy_density's docstring: -(1 + h^2)/4 for h <= 1,
-        # -h/2 above.  ground_state itself raises if the residual check fails.
+        # The ground energy per spin tends to -(1 + h^2)/4 for h <= 1 and
+        # to -h/2 above.  ground_state itself raises if the residual check fails.
         params = ModelParams(100_000, 0.5, h)
         state = ground_state(params)
         assert state.sector is not None
         reference = _reference_ground_energy(params)
         assert abs(state.energy - reference) <= 1e-14 * abs(reference)
-        assert energy_density(state) == pytest.approx(limit, abs=2e-3)
+        assert state.energy / state.params.n == pytest.approx(limit, abs=2e-3)

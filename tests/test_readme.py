@@ -1,5 +1,7 @@
-"""README's examples run as written, so they name no deleted API or flag."""
+"""README's examples run as written, so they name no deleted API or flag,
+and every public name is read in the package or named in README."""
 
+import ast
 import json
 import os
 import re
@@ -55,3 +57,23 @@ def test_command_line_section_names_every_flag():
     missing = [flag for _, flag, _ in _OPTIONS
                if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", section)]
     assert missing == []
+
+
+def test_every_public_name_is_used_or_documented():
+    # A public name that no module reads and README does not name is
+    # surface that only the tests keep alive.
+    package = Path(lmglab.__file__).resolve().parent
+    loaded = set()
+    for path in package.rglob("*.py"):
+        if path == package / "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    readme = README.read_text()
+    unused = [name for name in lmglab.__all__ if name != "__version__"
+              and name not in loaded
+              and not re.search(rf"(?<!\w){re.escape(name)}(?!\w)", readme)]
+    assert unused == []

@@ -242,9 +242,6 @@ class TestBoxFormation:
 
 
 class TestBipartition:
-    def test_tau(self):
-        assert Bipartition(8, 2).tau == 0.25
-
     @pytest.mark.parametrize("m_sub", [0, 9, -1])
     def test_invalid_sizes(self, m_sub):
         with pytest.raises(ValueError):
@@ -258,7 +255,8 @@ class TestBipartition:
             Bipartition(n, m_sub)
 
     def test_numpy_integer_sizes(self):
-        assert Bipartition(np.int64(10), np.int32(5)).tau == 0.5
+        part = Bipartition(np.int64(10), np.int32(5))
+        assert (part.n, part.m_sub) == (10, 5)
 
 
 class TestVonNeumannEntropy:
