@@ -34,9 +34,13 @@ format given twice.
 
 All four subcommands evaluate the same kind of grid of independent
 points, one task per (N, h) pair, dispatched to a process pool sized by
---jobs; a task solves its ground states once for all of its subsystem
-sizes and methods.  Output rows are sorted by (N, h, tau, method) after
-collection, so the result is deterministic regardless of scheduling.
+--jobs.  A task solves its ground states once for all of its subsystem
+sizes and methods; it reduces them for one subsystem size at a time,
+shares the reductions between that size's methods and drops them before
+the next size, so its memory does not grow with the tau grid.  A point
+that runs out of memory is a failed row, like any other failed point.
+Output rows are sorted by (N, h, tau, method) after collection, so the
+result is deterministic regardless of scheduling.
 Each failed point, and each peak-scan peak on the grid's edge, is named on
 stderr.  A warning raised while a point is computed, such as the
 delta-probe's, is named with its point in sorted row order, after the
@@ -65,7 +69,6 @@ import os
 import sys
 import time
 import warnings
-from itertools import product
 from pathlib import Path
 
 # One BLAS thread unless the user chose a count.  Every BLAS call here is on
@@ -421,33 +424,42 @@ def _resolve_m_sub(n: int, tau: float, m_sub: int | None) -> tuple[int, str | No
 def _evaluate_task(task: tuple) -> list[dict]:
     """The rows of one (N, h) task, each with the warnings raised computing it."""
     n, gamma, h, m_subs, delta, methods = task
-    # Ground states of this (N, h), shared by every subsystem size and method,
-    # and the reduced density matrices per subsystem size, shared by its methods.
+    # Ground states of this (N, h), shared by every subsystem size and method.
     states = {}
     rows = []
-    for m_sub, method in product(m_subs, methods):
-        row = dict.fromkeys(COLUMNS, math.nan)
-        row.update(h=h, N=n, tau=m_sub / n, method=method, status="ok")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                if method == "analytic":
-                    row["chi_g"] = chi_g_analytic(h, gamma, n)
-                    row["chi_r"] = chi_r_analytic(h, gamma, row["tau"], n)
-                    row["eta"] = row["chi_r"] / row["chi_g"]
-                    row["entropy"] = entropy_analytic(h, gamma, row["tau"])
-                else:
-                    point = sweep_point(ModelParams(n, gamma, h), Bipartition(n, m_sub),
-                                        delta=delta, method=method, states=states)
-                    row.update((name, getattr(point, name)) for name in COLUMNS
-                               if hasattr(point, name))
-            except CriticalPointError as exc:
-                row["status"] = f"singular: {exc}"
-            except (EigensolverError, ReducedDensityError, FidelityError, ValueError) as exc:
-                row["status"] = f"failed: {exc}"
-        # Not a column: main moves these into the run's warnings.
-        row["warnings"] = [str(w.message) for w in caught]
-        rows.append(row)
+    for m_sub in m_subs:
+        # This subsystem size's reduced density matrices, shared by its
+        # methods and dropped before the next size is reduced, so that a
+        # task holds one size's matrices however long its tau grid.
+        reductions = {}
+        for method in methods:
+            row = dict.fromkeys(COLUMNS, math.nan)
+            row.update(h=h, N=n, tau=m_sub / n, method=method, status="ok")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    if method == "analytic":
+                        row["chi_g"] = chi_g_analytic(h, gamma, n)
+                        row["chi_r"] = chi_r_analytic(h, gamma, row["tau"], n)
+                        row["eta"] = row["chi_r"] / row["chi_g"]
+                        row["entropy"] = entropy_analytic(h, gamma, row["tau"])
+                    else:
+                        point = sweep_point(ModelParams(n, gamma, h), Bipartition(n, m_sub),
+                                            delta=delta, method=method, states=states,
+                                            reductions=reductions)
+                        row.update((name, getattr(point, name)) for name in COLUMNS
+                                   if hasattr(point, name))
+                except CriticalPointError as exc:
+                    row["status"] = f"singular: {exc}"
+                except (EigensolverError, ReducedDensityError, FidelityError,
+                        ValueError) as exc:
+                    row["status"] = f"failed: {exc}"
+                except MemoryError as exc:
+                    # str(MemoryError()) is empty, so the status names the type.
+                    row["status"] = f"failed: MemoryError{f': {exc}' if str(exc) else ''}"
+            # Not a column: main moves these into the run's warnings.
+            row["warnings"] = [str(w.message) for w in caught]
+            rows.append(row)
     return rows
 
 

@@ -233,6 +233,7 @@ def sweep_point(
     delta: float | None = None,
     method: str = "finite-difference",
     states: dict | None = None,
+    reductions: dict | None = None,
 ) -> SweepPoint:
     """Global and reduced susceptibility, eta and entropy at one h.
 
@@ -242,15 +243,19 @@ def sweep_point(
     computed from the reduced matrices.
     A stencil across a k-parity level crossing raises FidelityError.
 
-    Each distinct stencil field is solved once per call.  ``states``, if
-    given, holds the ground states by their ``ModelParams`` and the
-    reduced density matrices by ``(params, part)``, and is read and filled
-    by this call, so calls that share it (other subsystem sizes or methods
-    at the same N, gamma and h) solve no field twice and reduce each field,
-    and decompose rho_A(h), once per subsystem size.  Every lookup, of a
-    state solved here or shared, is checked against the k-parity sector of
-    the first field this call looks up, so a shared dict changes no result
-    and no error.
+    Each distinct stencil field is solved once per call.  Two optional
+    dicts, read and filled by this call, share work between calls at the
+    same N, gamma and h.  ``states`` holds the ground states by their
+    ``ModelParams``: calls that share it, at any subsystem size or method,
+    solve no field twice.  ``reductions`` holds the reduced density
+    matrices, with their cached decompositions, by ``(params, part)``:
+    calls that share it, the methods of one subsystem size, reduce each
+    field, and decompose rho_A(h), once.  The ground states are vectors;
+    the reductions are matrices, so a caller that moves on to another
+    subsystem size should drop its ``reductions`` dict, not keep it.
+    Every lookup, of a state solved here or shared, is checked against the
+    k-parity sector of the first field this call looks up, so shared dicts
+    change no result and no error.
     """
     if params.n != part.n:
         raise ValueError(f"bipartition n={part.n} does not match params n={params.n}")
@@ -291,12 +296,14 @@ def sweep_point(
                 stacklevel=2,
             )
 
+    reduced = {} if reductions is None else reductions
+
     def reduced_at(h: float) -> ReducedDensity:
         state = state_at(h)
         key = (state.params, part)
-        if key not in solved:
-            solved[key] = reduce_state(state, part)
-        return solved[key]
+        if key not in reduced:
+            reduced[key] = reduce_state(state, part)
+        return reduced[key]
 
     rho_mid = reduced_at(params.h)
     entropy = von_neumann_entropy(rho_mid)

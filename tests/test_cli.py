@@ -1,11 +1,14 @@
 """End-to-end tests of the lmglab command line driver."""
 
+import gc
 import json
 import math
+import multiprocessing
 import os
 import stat
 import subprocess
 import sys
+import weakref
 from itertools import product
 from pathlib import Path
 
@@ -872,6 +875,92 @@ class TestSharedGroundStates:
                 f"failed: stencil field h={crossing[row['h']]} lies across a k-parity "
                 f"level crossing [h={row['h']}, delta=0.001]"
             )
+
+
+# Runs its arguments as a command and prints its exit code and peak RSS in KiB.
+PEAK_RSS_KIB = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+class TestReductionLifetime:
+    """A task holds the reduced density matrices of one subsystem size at a time."""
+
+    def test_earlier_sizes_freed_before_the_next_is_reduced(self, monkeypatch):
+        alive = []  # (M, weakref to its reduction)
+        checked = []
+
+        def tracking(state, part):
+            if alive and part.m_sub != alive[-1][0]:  # the first field of a new M
+                gc.collect()
+                held = sorted({m for m, ref in alive if ref() is not None})
+                assert held == [], f"reductions of M={held} alive while M={part.m_sub} starts"
+                checked.append(part.m_sub)
+            rho = reduce_state(state, part)
+            alive.append((part.m_sub, weakref.ref(rho)))
+            return rho
+
+        monkeypatch.setattr(lmglab.fidelity, "reduce_state", tracking)
+        rows = _evaluate_task((64, 0.5, 0.8, (8, 16, 32, 48), None,
+                               ("finite-difference", "spectral")))
+        assert [row["status"] for row in rows] == ["ok"] * 8
+        assert checked == [16, 32, 48]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_maxrss is in KiB on Linux only")
+    def test_peak_memory_does_not_grow_with_the_tau_grid(self, tmp_path):
+        def peak_rss_mb(tau_start, tau_stop, tau_count):
+            # A child's ru_maxrss starts at its parent's resident size, which
+            # grows over a test session, so a bare interpreter starts the CLI
+            # and reports the CLI's own peak, from os.wait4.
+            cli = [sys.executable, "-m", "lmglab.cli", "sweep-tau", "--n", "2048",
+                   "--h-list", "0.5", "--tau-start", tau_start, "--tau-stop", tau_stop,
+                   "--tau-count", tau_count, "--methods", "finite-difference,spectral",
+                   "--formats", "csv", "--jobs", "1", "--out", str(tmp_path / tau_count)]
+            code, kib = subprocess.run([sys.executable, "-c", PEAK_RSS_KIB, *cli],
+                                       capture_output=True, text=True,
+                                       check=True).stdout.split()
+            assert code == "0"
+            return int(kib) / 1024.0
+
+        few = peak_rss_mb("0.2", "0.8", "4")
+        many = peak_rss_mb("0.05", "0.95", "16")
+        assert many - few < 2.0, (few, many)
+
+
+class TestMemoryErrorIsAFailedPoint:
+    """A MemoryError inside one point fails that point, not the run."""
+
+    @pytest.mark.parametrize("error, status", [
+        (MemoryError(), "failed: MemoryError"),
+        (MemoryError("cannot allocate"), "failed: MemoryError: cannot allocate"),
+    ])
+    @pytest.mark.parametrize("jobs", [
+        1,
+        pytest.param(2, marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="the patch reaches pool workers only when they are forked")),
+    ])
+    def test_other_rows_written_and_exit_3(self, tmp_path, monkeypatch, capsys,
+                                           jobs, error, status):
+        def out_of_memory_at_96(params):
+            if params.n == 96:
+                raise error
+            return ground_state(params)
+
+        monkeypatch.setattr(lmglab.fidelity, "ground_state", out_of_memory_at_96)
+        monkeypatch.setattr(lmglab.cli, "_usable_cpus", lambda: 2)
+        code = main(["sweep-h", "--n", "64,96", "--h-list", "0.5,1.5",
+                     "--jobs", str(jobs), "--out", str(tmp_path)])
+        assert code == 3
+        rows = read_rows(tmp_path / "sweep_h.csv")
+        assert [(r["N"], r["status"]) for r in rows] == \
+            [("64", "ok")] * 2 + [("96", status)] * 2
+        err = capsys.readouterr().err
+        assert err.count("point N=96 ") == 2 and err.count(status) == 2
 
 
 def gp_text(stem, x, y, x_col, y_col, series, logscale=False):

@@ -23,7 +23,7 @@ from lmglab.fidelity import (
     sweep_point,
     uhlmann_fidelity,
 )
-from lmglab.model import ModelParams, ground_state
+from lmglab.model import DickeGroundState, ModelParams, ground_state
 from lmglab.reduced import (
     ENTROPY_CUTOFF,
     Bipartition,
@@ -662,6 +662,35 @@ class TestStencilSharing:
         monkeypatch.setattr(ReducedDensity, "_decomposition", counted)
         sweep_point(ModelParams(64, 0.5, 1.0), Bipartition(64, 32))
         assert len(decomposed) == 1
+
+    def test_states_shared_across_tau_hold_ground_states_only(self):
+        # One dict across subsystem sizes, as tests/test_paper_claims.py's
+        # points() shares it: vectors stay, no reduced density matrix does.
+        states = {}
+        for m_sub in (10, 20, 30):
+            sweep_point(ModelParams(40, 0.5, 0.8), Bipartition(40, m_sub), delta=1e-4,
+                        states=states)
+        assert len(states) == 3
+        assert all(isinstance(v, DickeGroundState) for v in states.values())
+
+    def test_reductions_shared_by_the_methods_of_one_size(self, monkeypatch):
+        # h, h +- d/2 for finite differences and h +- d for spectral.
+        reduced = []
+
+        def counting(state, part):
+            reduced.append(state.params.h)
+            return reduce_state(state, part)
+
+        monkeypatch.setattr(lmglab.fidelity, "reduce_state", counting)
+        params, part = ModelParams(40, 0.5, 0.8), Bipartition(40, 20)
+        states, reductions = {}, {}
+        shared = [sweep_point(params, part, method=method, states=states,
+                              reductions=reductions)
+                  for method in ("finite-difference", "spectral")]
+        assert len(reduced) == len(set(reduced)) == len(reductions) == 5
+        assert all(isinstance(v, ReducedDensity) for v in reductions.values())
+        assert shared == [sweep_point(params, part, method=method)
+                          for method in ("finite-difference", "spectral")]
 
     @pytest.mark.parametrize("h", [0.0, 0.8])
     def test_values_equal_fresh_solves(self, h):

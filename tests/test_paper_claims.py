@@ -31,7 +31,11 @@ CRITICAL_SIZES = (128, 256, 512, 1024, 2048, 4096)
 
 
 def points(h: float, n: int, taus) -> dict:
-    """sweep_point per tau at one (N, h), sharing the ground states."""
+    """sweep_point per tau at one (N, h), sharing the ground states.
+
+    ``states`` keeps only the ground states' vectors across the tau values;
+    each call reduces its own fields and drops them when it returns.
+    """
     states = {}
     return {tau: sweep_point(ModelParams(n, GAMMA, h), Bipartition(n, round(tau * n)),
                              delta=DELTA, states=states) for tau in taus}
