@@ -38,7 +38,8 @@ points, one task per (N, h) pair, dispatched to a process pool sized by
 sizes and methods; it reduces them for one subsystem size at a time,
 shares the reductions between that size's methods and drops them before
 the next size, so its memory does not grow with the tau grid.  A point
-that runs out of memory is a failed row, like any other failed point.
+that runs out of memory is a failed row, like any other failed point, and
+so is each point of a task lost with a pool worker that died.
 Output rows are sorted by (N, h, tau, method) after collection, so the
 result is deterministic regardless of scheduling.
 Each failed point, and each peak-scan peak on the grid's edge, is named on
@@ -53,9 +54,6 @@ OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before it loads numpy, and pool
 workers inherit that.  The JSON files record the variables under
 blas_threads.  --jobs defaults to the CPUs this process may run on.
 Outputs are byte-identical across worker counts at a fixed thread count.
-
-There is no randomness anywhere in the pipeline (--seedless is accepted
-and recorded for provenance, but runs are always seedless).
 """
 
 from __future__ import annotations
@@ -208,9 +206,6 @@ _OPTIONS = (
                                 "help": "record failed points and exit 0 instead of 3"}),
     (_SHARED, "--config", {"type": str,
                            "help": "flat key=value config file; flags override it"}),
-    (_SHARED, "--seedless", {**_SWITCH, "default": False,
-                             "help": "assert the deterministic, RNG-free run mode "
-                                     "(always on)"}),
     (("sweep-tau",), "--tau-start", {"type": float}),
     (("sweep-tau",), "--tau-stop", {"type": float}),
     (("sweep-tau",), "--tau-count", {"type": int}),
@@ -421,6 +416,12 @@ def _resolve_m_sub(n: int, tau: float, m_sub: int | None) -> tuple[int, str | No
 # Per-point evaluation (runs inside worker processes; must stay top level)
 # ---------------------------------------------------------------------------
 
+def _row(n: int, h: float, m_sub: int, method: str, status: str) -> dict:
+    """A row of NaN values for a point to fill in, with no warnings yet."""
+    return dict(dict.fromkeys(COLUMNS, math.nan), h=h, N=n, tau=m_sub / n, method=method,
+                status=status, warnings=[])
+
+
 def _evaluate_task(task: tuple) -> list[dict]:
     """The rows of one (N, h) task, each with the warnings raised computing it."""
     n, gamma, h, m_subs, delta, methods = task
@@ -433,8 +434,7 @@ def _evaluate_task(task: tuple) -> list[dict]:
         # task holds one size's matrices however long its tau grid.
         reductions = {}
         for method in methods:
-            row = dict.fromkeys(COLUMNS, math.nan)
-            row.update(h=h, N=n, tau=m_sub / n, method=method, status="ok")
+            row = _row(n, h, m_sub, method, "ok")
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
@@ -463,6 +463,11 @@ def _evaluate_task(task: tuple) -> list[dict]:
     return rows
 
 
+def _evaluate_chunk(tasks: list[tuple]) -> list[list[dict]]:
+    """The rows of each task of one pool chunk, in order."""
+    return [_evaluate_task(task) for task in tasks]
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -482,11 +487,28 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
     else:
         # Imported here: the pool machinery loads multiprocessing, which a
         # serial run never uses.
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 
         chunk = max(1, len(tasks) // (4 * workers))
+        chunks = [tasks[i:i + chunk] for i in range(0, len(tasks), chunk)]
+        # A worker that dies, killed for memory say, breaks the pool and
+        # fails every chunk not yet returned; the returned ones keep their rows.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(_evaluate_task, tasks, chunksize=chunk))
+            futures = []
+            for part in chunks:
+                try:
+                    futures.append(pool.submit(_evaluate_chunk, part))
+                except BrokenExecutor as exc:  # broken before this chunk was sent
+                    futures.append(Future())
+                    futures[-1].set_exception(exc)
+            nested = []
+            for part, future in zip(chunks, futures):
+                try:
+                    nested += future.result()
+                except BrokenExecutor as exc:
+                    nested += [[_row(n, h, m_sub, method, f"failed: pool worker lost: {exc}")
+                                for m_sub in m_subs for method in methods]
+                               for n, _, h, m_subs, _, methods in part]
     rows = [row for group in nested for row in group]
     rows.sort(key=lambda r: (r["N"], r["h"], r["tau"], r["method"]))
     return rows

@@ -11,10 +11,12 @@ J = N/2 sector, so the relevant Hilbert space is only N+1 dimensional.
 In that sector H couples the Dicke state k only to k and k +- 2 (S_+^2
 and S_-^2 move m by 2), so it splits exactly into two symmetric
 tridiagonal m-parity blocks, which ``hamiltonian_blocks`` returns and
-``ground_state`` solves one at a time.  ||H||_inf, the scale of the
-parity tie-break and of the residual bound, is the larger of the blocks'
-max row sums, and the residual is checked on the block the ground state
-lives in.
+``ground_state`` solves one at a time.  A block's max row sum ||T||_inf
+(``_row_sum_max``) scales its certificate below; the larger, ||H||_inf,
+scales the parity tie-break and the residual bound, checked on the
+ground state's block.  No sign is imposed, and no result reads it:
+``dstein`` makes the largest entry positive, and with couplings <= 0 the
+lowest eigenvector has one sign.
 
 The ground state occupies only a small part of a block's N/2 rows, so
 each block's lowest pair is solved on a window of rows: it starts around
@@ -60,11 +62,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-
-# Gauge threshold: first coefficient larger than this (in magnitude) is made
-# positive.  It sits far above roundoff, so the sign is fixed by a
-# coefficient that carries weight, not by noise in an exponential tail.
-GAUGE_EPS = 1e-12
 
 # Accepted relative residual ||H v - E v|| / ||H||_inf of the ground pair.
 RESIDUAL_TOL = 1e-10
@@ -143,9 +140,9 @@ class ModelParams:
 class DickeGroundState:
     """Ground state as the coefficient vector C_k over |J, -J + k>.
 
-    Invariants guaranteed by :func:`ground_state`: unit norm, first
-    coefficient above ``GAUGE_EPS`` positive, support on a single
-    k-parity sector.
+    Invariants guaranteed by :func:`ground_state`: unit norm, support on
+    a single k-parity sector.  The sign is ``dstein``'s, which no result
+    reads (see the module docstring).
     """
 
     params: ModelParams
@@ -227,22 +224,23 @@ def _bounded_below(diag: np.ndarray, off: np.ndarray, shift: float) -> bool:
     return info == 0
 
 
-def _lowest_block_eigenpair(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray]:
+def _lowest_block_eigenpair(diag: np.ndarray, off: np.ndarray,
+                            norm: float) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of the symmetric tridiagonal block (diag, off).
 
+    ``norm`` is the block's ``_row_sum_max``, which scales the certificate.
     Solved on a certified window of rows (see the module docstring); the
     returned vector is zero outside the window.
     """
     size = diag.size
     if size == 1:
         return float(diag[0]), np.ones(1)
+    if not math.isfinite(norm):
+        raise ValueError("tridiagonal block has non-finite entries")
     coupling = np.abs(off)
     radius = np.zeros(size)
     radius[:-1] = coupling
     radius[1:] += coupling
-    norm = float(np.max(np.abs(diag) + radius))
-    if not np.isfinite(norm):
-        raise ValueError("tridiagonal block has non-finite entries")
     centre = int(np.argmin(diag - radius))
     half = 4 * math.isqrt(size) + 8
     lo, hi = max(centre - half, 0), min(centre + half + 1, size)
@@ -266,7 +264,7 @@ def _lowest_block_eigenpair(diag: np.ndarray, off: np.ndarray) -> tuple[float, n
 
 
 def ground_state(params: ModelParams) -> DickeGroundState:
-    """Lowest eigenpair of the Hamiltonian's parity blocks, gauge fixed.
+    """Lowest eigenpair of the Hamiltonian's parity blocks, with ``dstein``'s sign.
 
     The solve is done per m-parity block (each block is symmetric
     tridiagonal).  This is not just an optimization: in the broken phase
@@ -274,17 +272,9 @@ def ground_state(params: ModelParams) -> DickeGroundState:
     resolution near N ~ 250, where a full-band solver returns an
     arbitrary mixture of the two parity eigenvectors.  Solving blocks
     separately keeps the returned state in a definite parity sector and
-    keeps it continuous in h.
-
-    Each block is solved on a window of rows (bisection and inverse
-    iteration, ``dstebz`` and ``dstein``) that starts around the block's
-    lowest Gershgorin edge and doubles on each side whose end amplitude
-    exceeds ``EDGE_FLOOR = 1e-18``; coefficients outside the window are
-    exactly zero.  The window is accepted only when the whole block,
-    shifted to E_w - 1e-12 * ||T||_inf, factors as positive definite
-    (``dpttrf``): with Cauchy interlacing (E_w >= lambda_min) this proves
-    the window holds the block's lowest eigenvalue.  Otherwise the window
-    widens, up to the whole block, which needs no certificate.
+    keeps it continuous in h.  Each block is solved on a certified window
+    of rows (bisection and inverse iteration, ``dstebz`` and ``dstein``;
+    see the module docstring); coefficients outside it are exactly zero.
 
     The even sector is returned when E_even <= E_odd + 1e-10 * ||H||_inf,
     ||H||_inf being the larger of the two blocks' max row sums.
@@ -295,12 +285,9 @@ def ground_state(params: ModelParams) -> DickeGroundState:
     gamma = 0.5 the splitting changes sign at h = 0.65407 and the sector
     switches at h = 0.65503).  Deep in the broken phase, where the doublet
     is degenerate below machine resolution, the even state is returned.
-    The rule is applied after solving only the block of N's parity when
-    it can be: if one ``dpttrf`` of the other block, shifted to the first
-    block's energy minus the tolerance (first block even) or plus it
-    (first block odd), succeeds, the other block's lowest eigenvalue lies
-    beyond the tie-break and the first block's state is returned without
-    solving the other.  Otherwise both are solved and compared.
+    The other block is solved only when one ``dpttrf`` of it cannot prove
+    that its lowest eigenvalue lies beyond the tie-break (see the module
+    docstring).
 
     Raises
     ------
@@ -309,17 +296,18 @@ def ground_state(params: ModelParams) -> DickeGroundState:
         ||T v - E v|| <= 1e-10 * ||H||_inf on the returned block T fails.
     """
     blocks = hamiltonian_blocks(params.n, params.gamma, params.h)
-    tol = RESIDUAL_TOL * max(_row_sum_max(*block) for block in blocks)
+    norms = [_row_sum_max(*block) for block in blocks]
+    tol = RESIDUAL_TOL * max(norms)
     start = params.n % 2  # the block holding k = N
     other = 1 - start
     try:
-        energy, block = _lowest_block_eigenpair(*blocks[start])
+        energy, block = _lowest_block_eigenpair(*blocks[start], norms[start])
         # The even block wins ties, so the odd block must be lower by more
         # than the tolerance to win.
         shift = energy - tol if start == 0 else energy + tol
         if not _bounded_below(*blocks[other], shift):
             pairs = {start: (energy, block),
-                     other: _lowest_block_eigenpair(*blocks[other])}
+                     other: _lowest_block_eigenpair(*blocks[other], norms[other])}
             start = 0 if pairs[0][0] <= pairs[1][0] + tol else 1
             energy, block = pairs[start]
     except (np.linalg.LinAlgError, ValueError) as exc:
@@ -329,15 +317,10 @@ def ground_state(params: ModelParams) -> DickeGroundState:
     coefficients[start::2] = block
     coefficients /= np.linalg.norm(coefficients)
 
-    support = np.flatnonzero(np.abs(coefficients) > GAUGE_EPS)
-    if support.size == 0:
-        raise EigensolverError("eigenvector has no support above gauge threshold", params)
-    if coefficients[support[0]] < 0.0:
-        coefficients = -coefficients
-
     # The other block's rows of H C - E C are exactly zero.
     residual = _block_residual(*blocks[start], coefficients[start::2], energy)
-    if not np.isfinite(energy) or residual > tol:
+    # Written so that a NaN residual (a NaN vector from dstein) fails too.
+    if not np.isfinite(energy) or not residual <= tol:
         raise EigensolverError(
             f"residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} * ||H|| = {tol:.3e}",
             params,

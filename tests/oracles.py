@@ -27,11 +27,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from lmglab.fidelity import DEGENERACY_TOL, POPULATION_CUTOFF
 from lmglab.model import (
-    GAUGE_EPS,
     RESIDUAL_TOL,
     DickeGroundState,
     EigensolverError,
     _lowest_block_eigenpair,
+    _row_sum_max,
     hamiltonian_blocks,
 )
 from lmglab.reduced import (
@@ -210,8 +210,8 @@ def two_block_ground_state(params) -> DickeGroundState:
     and ||H||_inf and the residual are taken over the full bands.
     """
     blocks = hamiltonian_blocks(params.n, params.gamma, params.h)
-    energy_even, vec_even = _lowest_block_eigenpair(*blocks[0])
-    energy_odd, vec_odd = _lowest_block_eigenpair(*blocks[1])
+    energy_even, vec_even = _lowest_block_eigenpair(*blocks[0], _row_sum_max(*blocks[0]))
+    energy_odd, vec_odd = _lowest_block_eigenpair(*blocks[1], _row_sum_max(*blocks[1]))
     d, e = full_bands(blocks)
     scale = band_norm_inf(d, e)
     if energy_even <= energy_odd + RESIDUAL_TOL * scale:
@@ -221,11 +221,8 @@ def two_block_ground_state(params) -> DickeGroundState:
     coefficients = np.zeros(params.n + 1)
     coefficients[start::2] = block
     coefficients /= np.linalg.norm(coefficients)
-    support = np.flatnonzero(np.abs(coefficients) > GAUGE_EPS)
-    if coefficients[support[0]] < 0.0:
-        coefficients = -coefficients
     residual = np.linalg.norm(band_matvec(d, e, coefficients) - energy * coefficients)
-    if residual > RESIDUAL_TOL * scale:
+    if not residual <= RESIDUAL_TOL * scale:  # NaN fails too
         raise EigensolverError(f"residual {residual:.3e}", params)
     return DickeGroundState(params=params, coefficients=coefficients, energy=energy)
 

@@ -8,6 +8,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 import weakref
 from itertools import product
 from pathlib import Path
@@ -225,12 +226,20 @@ class TestSweepH:
                 except ValueError:
                     assert g == w
 
-    def test_seedless_flag_accepted(self, tmp_path):
-        run_cli(
-            "sweep-h", "--n", "8", "--h-list", "0.5", "--seedless",
-            "--out", str(tmp_path), check=True,
-        )
-        assert "seedless=True" in (tmp_path / "sweep_h.csv").read_text()
+    def test_seedless_flag_is_a_usage_error(self, tmp_path):
+        # Runs hold no randomness, so there is no seed mode to switch.
+        proc = run_cli("sweep-h", "--n", "8", "--h-list", "0.5", "--seedless",
+                       "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1
+        assert "unrecognized arguments: --seedless\n" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_seedless_config_key_is_a_usage_error(self, tmp_path):
+        cfg = write_config(tmp_path, "n = 8\n" "h-list = 0.5\n" "seedless = yes\n")
+        proc = run_cli("sweep-h", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1
+        assert proc.stderr == f"lmglab: error: {cfg}:3: unknown config key 'seedless'\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestSweepTau:
@@ -455,7 +464,6 @@ SHARED_KEYS = (
     "delta = 0.002\n"
     "formats = csv\n"
     "jobs = 1\n"
-    "seedless = yes\n"
 )
 
 
@@ -476,7 +484,7 @@ class TestConfigFile:
         assert {float(r["delta"]) for r in rows} == {0.002}
         echo = config_echo(tmp_path / "o" / "sweep_h.csv")
         for item in ("gamma=0.5", "tau=0.4", "m=8", "n=16,32", "delta=0.002",
-                     "formats=csv", "skip_errors=True", "seedless=True"):
+                     "formats=csv", "skip_errors=True"):
             assert f" {item}" in echo
 
     def test_sweep_tau_every_key(self, tmp_path):
@@ -535,11 +543,11 @@ class TestConfigFile:
         ("1", True), ("0", False), ("True", True), ("FALSE", False),
     ])
     def test_bool_spellings(self, tmp_path, spelling, value):
-        cfg = write_config(tmp_path, "n = 8\n" "h-list = 0.5\n" f"seedless = {spelling}\n"
+        cfg = write_config(tmp_path, "n = 8\n" "h-list = 0.5\n"
                            f"skip-errors = {spelling}\n" f"out = {tmp_path}\n")
         run_cli("sweep-h", "--config", str(cfg), check=True)
         echo = config_echo(tmp_path / "sweep_h.csv")
-        assert f" seedless={value}" in echo and f" skip_errors={value}" in echo
+        assert f" skip_errors={value}" in echo
 
     def test_delta_auto(self, tmp_path):
         cfg = write_config(tmp_path, "n = 8\n" "h-list = 0.5,2.0\n" "delta = auto\n"
@@ -931,6 +939,10 @@ class TestReductionLifetime:
         assert many - few < 2.0, (few, many)
 
 
+FORKED_POOL = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                 reason="the patch reaches pool workers only when they are forked")
+
+
 class TestMemoryErrorIsAFailedPoint:
     """A MemoryError inside one point fails that point, not the run."""
 
@@ -940,9 +952,7 @@ class TestMemoryErrorIsAFailedPoint:
     ])
     @pytest.mark.parametrize("jobs", [
         1,
-        pytest.param(2, marks=pytest.mark.skipif(
-            multiprocessing.get_start_method() != "fork",
-            reason="the patch reaches pool workers only when they are forked")),
+        pytest.param(2, marks=FORKED_POOL),
     ])
     def test_other_rows_written_and_exit_3(self, tmp_path, monkeypatch, capsys,
                                            jobs, error, status):
@@ -961,6 +971,75 @@ class TestMemoryErrorIsAFailedPoint:
             [("64", "ok")] * 2 + [("96", status)] * 2
         err = capsys.readouterr().err
         assert err.count("point N=96 ") == 2 and err.count(status) == 2
+
+
+LOST = "failed: pool worker lost: "
+
+
+class TestLostPoolWorker:
+    """A pool worker that dies fails its tasks' rows; the rows already returned stay."""
+
+    @FORKED_POOL
+    @pytest.mark.parametrize("skip_errors, code", [((), 3), (("--skip-errors",), 0)])
+    def test_returned_rows_kept_and_lost_rows_failed(self, tmp_path, monkeypatch, capsys,
+                                                     skip_errors, code):
+        real = lmglab.cli._evaluate_task
+        done = tmp_path / "done"
+        done.mkdir()
+
+        # Forked workers see the patched module global that _evaluate_chunk calls.
+        def killed_at_96(task):
+            n, _, h = task[:3]
+            if n == 96:
+                # Die only after both N = 64 tasks have returned, so that which
+                # rows are lost does not depend on scheduling.
+                deadline = time.monotonic() + 60.0
+                while len(list(done.iterdir())) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.2)
+                os._exit(137)
+            rows = real(task)
+            (done / str(h)).touch()
+            return rows
+
+        monkeypatch.setattr(lmglab.cli, "_evaluate_task", killed_at_96)
+        monkeypatch.setattr(lmglab.cli, "_usable_cpus", lambda: 2)
+        assert main(["sweep-h", "--n", "64,96", "--h-list", "0.5,1.5", "--jobs", "2",
+                     *skip_errors, "--out", str(tmp_path / "o")]) == code
+        for name in ("sweep_h.csv", "sweep_h.json"):
+            assert (tmp_path / "o" / name).exists()
+        rows = read_rows(tmp_path / "o" / "sweep_h.csv")
+        assert [(r["N"], r["h"]) for r in rows] == \
+            [(n, h) for n in ("64", "96") for h in ("5.000000000000e-01", "1.500000000000e+00")]
+        assert [r["status"] for r in rows[:2]] == ["ok"] * 2
+        assert all(math.isfinite(float(r["chi_r"])) for r in rows[:2])
+        rows = json.loads((tmp_path / "o" / "sweep_h.json").read_text())["rows"]
+        assert all(r["status"].startswith(LOST) for r in rows[2:])
+        assert all(r["chi_r"] is None for r in rows[2:])
+        err = capsys.readouterr().err
+        assert err.count("point N=96 ") == 2 and err.count(LOST) == 2
+
+    def test_pool_broken_while_tasks_are_submitted(self, tmp_path, monkeypatch):
+        # Tasks the broken pool refuses are lost like the ones it had taken.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        real = ProcessPoolExecutor.submit
+        submitted = []
+
+        def broken_after_two(pool, *args):
+            submitted.append(args)
+            if len(submitted) > 2:
+                raise BrokenProcessPool("not usable anymore")
+            return real(pool, *args)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", broken_after_two)
+        monkeypatch.setattr(lmglab.cli, "_usable_cpus", lambda: 2)
+        assert main(["sweep-h", "--n", "8,16", "--h-list", "0.5,1.5", "--jobs", "2",
+                     "--out", str(tmp_path)]) == 3
+        rows = read_rows(tmp_path / "sweep_h.csv")
+        assert [(r["N"], r["status"]) for r in rows] == \
+            [("8", "ok")] * 2 + [("16", f"{LOST}not usable anymore")] * 2
 
 
 def gp_text(stem, x, y, x_col, y_col, series, logscale=False):
@@ -1019,35 +1098,35 @@ PEAK_H = ("0.6,0.65,0.7,0.75,0.7999999999999999,0.85,0.8999999999999999,0.95,1.0
       "--methods", "analytic"),
      "sweep_h.csv", "sweep_h.json",
      "# config: command=sweep-h delta=auto formats=csv,json gamma=0.25 h_values=0.5,1.5 "
-     "m=None methods=analytic n=16,8 seedless=False skip_errors=False tau=0.5",
+     "m=None methods=analytic n=16,8 skip_errors=False tau=0.5",
      {"command": "sweep-h", "delta": "auto", "formats": "csv,json", "gamma": 0.25,
       "h_values": "0.5,1.5", "m": None, "methods": "analytic", "n": "16,8",
-      "seedless": False, "skip_errors": False, "tau": 0.5}),
+      "skip_errors": False, "tau": 0.5}),
     (("sweep-tau", "--n", "8", "--h-list", "0.5", "--tau-start", "0.25", "--tau-stop",
       "0.75", "--tau-count", "3", "--delta", "0.002", "--methods", "spectral",
       "--skip-errors"),
      "sweep_tau.csv", "sweep_tau.json",
      "# config: command=sweep-tau delta=0.002 formats=csv,json gamma=0.5 h_values=0.5 "
-     "methods=spectral n=8 seedless=False skip_errors=True tau_values=0.25,0.5,0.75",
+     "methods=spectral n=8 skip_errors=True tau_values=0.25,0.5,0.75",
      {"command": "sweep-tau", "delta": 0.002, "formats": "csv,json", "gamma": 0.5,
-      "h_values": "0.5", "methods": "spectral", "n": "8", "seedless": False,
+      "h_values": "0.5", "methods": "spectral", "n": "8",
       "skip_errors": True, "tau_values": "0.25,0.5,0.75"}),
-    (("compare", "--n", "8", "--m", "2", "--h-list", "0.5,1.5", "--seedless"),
+    (("compare", "--n", "8", "--m", "2", "--h-list", "0.5,1.5"),
      "compare.txt", "compare.json",
      "config: command=compare delta=auto gamma=0.5 h_values=0.5,1.5 m=2 "
-     "methods=finite-difference,analytic n=8 seedless=True skip_errors=False tau=0.5",
+     "methods=finite-difference,analytic n=8 skip_errors=False tau=0.5",
      {"command": "compare", "delta": "auto", "gamma": 0.5,
       "h_values": "0.5,1.5", "m": 2, "methods": "finite-difference,analytic", "n": "8",
-      "seedless": True, "skip_errors": False, "tau": 0.5}),
+      "skip_errors": False, "tau": 0.5}),
     (("peak-scan", "--n", "16", "--h-start", "0.6", "--h-stop", "1.2", "--h-count", "13",
       "--tau", "0.25", "--check"),
      "peaks.csv", "peaks.json",
      "# config: check=True command=peak-scan delta=auto gamma=0.5 "
-     f"h_values={PEAK_H} m=None methods=finite-difference n=16 seedless=False "
+     f"h_values={PEAK_H} m=None methods=finite-difference n=16 "
      "skip_errors=False tau=0.25",
      {"check": True, "command": "peak-scan", "delta": "auto",
       "gamma": 0.5, "h_values": PEAK_H, "m": None, "methods": "finite-difference",
-      "n": "16", "seedless": False, "skip_errors": False, "tau": 0.25}),
+      "n": "16", "skip_errors": False, "tau": 0.25}),
 ], ids=["sweep-h", "sweep-tau", "compare", "peak-scan"])
 def test_config_echo_pinned(tmp_path, args, text_file, json_file, line, echo):
     assert main([*args, "--jobs", "1", "--out", str(tmp_path)]) == 0
@@ -1075,7 +1154,7 @@ def echo_keys_of_options(command: str) -> set[str]:
 def test_echo_records_the_keys_of_the_subcommands_flags(tmp_path, command, echo_file):
     # The file carries keys of every subcommand; each records only its own.
     cfg = write_config(tmp_path, "tau = 0.5\n" "m = 4\n" "formats = csv\n" "check = no\n"
-                       "tau-list = 0.5\n" "seedless = yes\n")
+                       "tau-list = 0.5\n")
     code = main([command, "--config", str(cfg), "--n", "16", "--h-start", "0.6",
                  "--h-stop", "1.2", "--h-count", "12", "--jobs", "1",
                  "--out", str(tmp_path / "o")])

@@ -639,9 +639,9 @@ class TestStencilSharing:
         sizes = []
         real = lmglab.model._lowest_block_eigenpair
 
-        def counting(diag, off):
+        def counting(diag, off, norm):
             sizes.append(diag.size)
-            return real(diag, off)
+            return real(diag, off, norm)
 
         monkeypatch.setattr(lmglab.model, "_lowest_block_eigenpair", counting)
         sweep_point(ModelParams(64, 0.5, 1.0), Bipartition(64, 32))

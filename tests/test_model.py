@@ -16,6 +16,7 @@ from lmglab.model import (
     ModelParams,
     _block_residual,
     _lowest_block_eigenpair,
+    _row_sum_max,
     ground_state,
     hamiltonian_blocks,
 )
@@ -142,11 +143,15 @@ class TestGroundState:
             assert np.all(np.abs(state.coefficients[:-1]) < 0.02)
 
     def test_normalized_and_gauge_fixed(self):
-        for h in (0.0, 0.3, 1.0, 2.5):
-            state = ground_state(ModelParams(33, 0.25, h))
-            assert abs(np.sum(state.coefficients**2) - 1.0) < 1e-12
-            support = np.flatnonzero(np.abs(state.coefficients) > 1e-12)
-            assert state.coefficients[support[0]] > 0
+        # No gauge pass fixes the sign: dstein makes the largest entry
+        # positive, and with non-positive couplings the lowest eigenvector
+        # has one sign.  Only tail round-off far below 1e-12 may be negative.
+        for n in (2, 3, 33, 64, 65, 1024):
+            for gamma in (0.0, 0.25, 0.5, 0.99, 1.0):
+                for h in (0.0, 0.3, 0.5, 0.97, 1.0, 1.5, 2.5, 10.0):
+                    c = ground_state(ModelParams(n, gamma, h)).coefficients
+                    assert abs(np.sum(c**2) - 1.0) < 1e-12, (n, gamma, h)
+                    assert np.all(c[np.abs(c) > 1e-12] > 0.0), (n, gamma, h)
 
     def test_single_parity_support(self):
         for n in (10, 11, 64):
@@ -230,7 +235,7 @@ class TestWindowedBlockSolve:
             scale = band_norm_inf(*full_bands(blocks))
             for block in blocks:
                 _assert_same_pair(
-                    _lowest_block_eigenpair(*block),
+                    _lowest_block_eigenpair(*block, _row_sum_max(*block)),
                     _full_block_reference(*block),
                     scale,
                 )
@@ -252,7 +257,7 @@ class TestWindowedBlockSolve:
         reference = _full_block_reference(diag, off)
         assert reference[0] < -0.9 and abs(reference[1][1700]) > 0.9
         _assert_same_pair(
-            _lowest_block_eigenpair(diag, off),
+            _lowest_block_eigenpair(diag, off, _row_sum_max(diag, off)),
             reference,
             float(np.max(np.abs(diag) + radius)),
         )
@@ -266,7 +271,7 @@ class TestWindowedBlockSolve:
         diag = 1.43e-6 * (np.arange(size) - 1000.0) ** 2
         off = np.full(size - 1, -1.0)
         _assert_same_pair(
-            _lowest_block_eigenpair(diag, off),
+            _lowest_block_eigenpair(diag, off, _row_sum_max(diag, off)),
             _full_block_reference(diag, off),
             float(np.max(diag + 2.0)),
         )
@@ -297,6 +302,21 @@ class TestWindowedBlockSolve:
         monkeypatch.setattr(model, "dstein", perturbed)
         params = ModelParams(64, 0.5, 0.97)
         with pytest.raises(EigensolverError, match="residual") as info:
+            ground_state(params)
+        assert info.value.params == params
+
+    def test_nan_vector_fails_the_residual_check(self, monkeypatch):
+        # A NaN residual compares False with the bound either way round, so
+        # the check must be written to fail it.
+        real = model.dstein
+
+        def nan_vector(*args, **kwargs):
+            vectors, info = real(*args, **kwargs)
+            return np.full_like(vectors, np.nan), 0
+
+        monkeypatch.setattr(model, "dstein", nan_vector)
+        params = ModelParams(64, 0.5, 0.97)
+        with pytest.raises(EigensolverError, match="residual nan") as info:
             ground_state(params)
         assert info.value.params == params
 
@@ -350,9 +370,9 @@ class TestOneBlockSolve:
         sizes = []
         real = model._lowest_block_eigenpair
 
-        def counting(diag, off):
+        def counting(diag, off, norm):
             sizes.append(diag.size)
-            return real(diag, off)
+            return real(diag, off, norm)
 
         monkeypatch.setattr(model, "_lowest_block_eigenpair", counting)
         return sizes
