@@ -34,12 +34,13 @@ format given twice.
 
 All four subcommands evaluate the same kind of grid of independent
 points, one task per (N, h) pair, dispatched to a process pool sized by
---jobs.  A task solves its ground states once for all of its subsystem
-sizes and methods; it reduces them for one subsystem size at a time,
-shares the reductions between that size's methods and drops them before
-the next size, so its memory does not grow with the tau grid.  A point
-that runs out of memory is a failed row, like any other failed point, and
-so is each point of a task lost with a pool worker that died.
+--jobs.  A task's sweep_point calls share one cache: its ground states
+are solved once for all of its subsystem sizes and methods, and the cache
+holds one size's reduced density matrices at a time, so a task's memory
+does not grow with the tau grid.  A point that runs out of memory is a
+failed row, like any other failed point.  A pool worker that dies breaks
+the pool; each task the pool did not return is rerun alone in a fresh
+worker, and only a task whose worker dies again gives failed rows.
 Output rows are sorted by (N, h, tau, method) after collection, so the
 result is deterministic regardless of scheduling.
 Each failed point, and each peak-scan peak on the grid's edge, is named on
@@ -425,14 +426,10 @@ def _row(n: int, h: float, m_sub: int, method: str, status: str) -> dict:
 def _evaluate_task(task: tuple) -> list[dict]:
     """The rows of one (N, h) task, each with the warnings raised computing it."""
     n, gamma, h, m_subs, delta, methods = task
-    # Ground states of this (N, h), shared by every subsystem size and method.
-    states = {}
+    # Shared by every subsystem size and method of this (N, h).
+    cache = {}
     rows = []
     for m_sub in m_subs:
-        # This subsystem size's reduced density matrices, shared by its
-        # methods and dropped before the next size is reduced, so that a
-        # task holds one size's matrices however long its tau grid.
-        reductions = {}
         for method in methods:
             row = _row(n, h, m_sub, method, "ok")
             with warnings.catch_warnings(record=True) as caught:
@@ -445,8 +442,7 @@ def _evaluate_task(task: tuple) -> list[dict]:
                         row["entropy"] = entropy_analytic(h, gamma, row["tau"])
                     else:
                         point = sweep_point(ModelParams(n, gamma, h), Bipartition(n, m_sub),
-                                            delta=delta, method=method, states=states,
-                                            reductions=reductions)
+                                            delta=delta, method=method, cache=cache)
                         row.update((name, getattr(point, name)) for name in COLUMNS
                                    if hasattr(point, name))
                 except CriticalPointError as exc:
@@ -487,28 +483,35 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
     else:
         # Imported here: the pool machinery loads multiprocessing, which a
         # serial run never uses.
-        from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
         chunk = max(1, len(tasks) // (4 * workers))
         chunks = [tasks[i:i + chunk] for i in range(0, len(tasks), chunk)]
-        # A worker that dies, killed for memory say, breaks the pool and
-        # fails every chunk not yet returned; the returned ones keep their rows.
+        # A worker that dies, killed for memory say, breaks the pool, which
+        # fails every chunk not yet returned, healthy ones too.  Each of their
+        # tasks is rerun alone, and fails only if its worker dies again.
+        nested, lost = [], []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = []
             for part in chunks:
                 try:
                     futures.append(pool.submit(_evaluate_chunk, part))
-                except BrokenExecutor as exc:  # broken before this chunk was sent
-                    futures.append(Future())
-                    futures[-1].set_exception(exc)
-            nested = []
+                except BrokenExecutor:  # broken before this chunk was sent
+                    break
             for part, future in zip(chunks, futures):
                 try:
                     nested += future.result()
+                except BrokenExecutor:
+                    lost += part
+        lost += [task for part in chunks[len(futures):] for task in part]
+        for task in lost:
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                try:
+                    nested += pool.submit(_evaluate_chunk, [task]).result()
                 except BrokenExecutor as exc:
-                    nested += [[_row(n, h, m_sub, method, f"failed: pool worker lost: {exc}")
-                                for m_sub in m_subs for method in methods]
-                               for n, _, h, m_subs, _, methods in part]
+                    n, _, h, m_subs, _, methods = task
+                    nested.append([_row(n, h, m_sub, method, f"failed: pool worker lost: {exc}")
+                                   for m_sub in m_subs for method in methods])
     rows = [row for group in nested for row in group]
     rows.sort(key=lambda r: (r["N"], r["h"], r["tau"], r["method"]))
     return rows

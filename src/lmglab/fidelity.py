@@ -232,8 +232,7 @@ def sweep_point(
     part: Bipartition,
     delta: float | None = None,
     method: str = "finite-difference",
-    states: dict | None = None,
-    reductions: dict | None = None,
+    cache: dict | None = None,
 ) -> SweepPoint:
     """Global and reduced susceptibility, eta and entropy at one h.
 
@@ -243,19 +242,13 @@ def sweep_point(
     computed from the reduced matrices.
     A stencil across a k-parity level crossing raises FidelityError.
 
-    Each distinct stencil field is solved once per call.  Two optional
-    dicts, read and filled by this call, share work between calls at the
-    same N, gamma and h.  ``states`` holds the ground states by their
-    ``ModelParams``: calls that share it, at any subsystem size or method,
-    solve no field twice.  ``reductions`` holds the reduced density
-    matrices, with their cached decompositions, by ``(params, part)``:
-    calls that share it, the methods of one subsystem size, reduce each
-    field, and decompose rho_A(h), once.  The ground states are vectors;
-    the reductions are matrices, so a caller that moves on to another
-    subsystem size should drop its ``reductions`` dict, not keep it.
-    Every lookup, of a state solved here or shared, is checked against the
-    k-parity sector of the first field this call looks up, so shared dicts
-    change no result and no error.
+    Each distinct stencil field is solved once per call.  ``cache``, a dict
+    this call reads and fills, shares work between calls: it holds ground
+    states by their ``ModelParams``, and the reduced density matrices of
+    one point and subsystem size, which that size's methods share.  Before
+    it reduces, a call drops every matrix of another (params, part).  Every
+    lookup is checked against the k-parity sector of the first field this
+    call looks up, so a shared cache changes no result and no error.
     """
     if params.n != part.n:
         raise ValueError(f"bipartition n={part.n} does not match params n={params.n}")
@@ -264,15 +257,15 @@ def sweep_point(
     step = auto_delta(params.h) if delta is None else float(delta)
 
     # The chi_g and chi_r stencils share their fields.
-    solved = {} if states is None else states
+    cache = {} if cache is None else cache
     first = None  # the state of the first field this call looks up
 
     def state_at(h: float) -> DickeGroundState:
         nonlocal first
         key = replace(params, h=h)
-        if key not in solved:
-            solved[key] = ground_state(key)
-        state = solved[key]
+        if key not in cache:
+            cache[key] = ground_state(key)
+        state = cache[key]
         if first is None:
             first = state
         elif state.sector != first.sector:
@@ -296,28 +289,28 @@ def sweep_point(
                 stacklevel=2,
             )
 
-    reduced = {} if reductions is None else reductions
+    # A ground state's key is its ModelParams, a reduction's (params, part, field).
+    for key in [key for key in cache if isinstance(key, tuple) and key[:2] != (params, part)]:
+        del cache[key]
 
     def reduced_at(h: float) -> ReducedDensity:
         state = state_at(h)
-        key = (state.params, part)
-        if key not in reduced:
-            reduced[key] = reduce_state(state, part)
-        return reduced[key]
+        key = (params, part, h)
+        if key not in cache:
+            cache[key] = reduce_state(state, part)
+        return cache[key]
 
     rho_mid = reduced_at(params.h)
     entropy = von_neumann_entropy(rho_mid)
 
     if method == "finite-difference":
         chi_r = fs_finite_difference(reduced_at, params.h, step)
-    elif params.h - step < 0.0:
-        # Forward stencil at the h = 0 boundary: pass rho(h) as the lower
-        # point with half the spacing.
-        plus = reduced_at(params.h + step)
-        chi_r = fs_spectral(rho_mid, rho_mid, plus, 0.5 * step, params.h)
     else:
-        minus, plus = reduced_at(params.h - step), reduced_at(params.h + step)
-        chi_r = fs_spectral(minus, rho_mid, plus, step, params.h)
+        # Forward stencil at the h = 0 boundary: rho(h) is its lower point.
+        forward = params.h - step < 0.0
+        minus = rho_mid if forward else reduced_at(params.h - step)
+        spacing = 0.5 * step if forward else step
+        chi_r = fs_spectral(minus, rho_mid, reduced_at(params.h + step), spacing, params.h)
 
     if chi_g <= 0.0:
         raise FidelityError(

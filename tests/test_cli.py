@@ -1019,6 +1019,38 @@ class TestLostPoolWorker:
         err = capsys.readouterr().err
         assert err.count("point N=96 ") == 2 and err.count(LOST) == 2
 
+    @FORKED_POOL
+    def test_healthy_task_running_when_a_worker_dies_is_rerun(self, tmp_path, monkeypatch,
+                                                              capsys):
+        real = lmglab.cli._evaluate_task
+        marker = tmp_path / "dying"
+
+        def killed_at_96(task):
+            n, _, h = task[:3]
+            if n == 96:
+                marker.touch()
+                time.sleep(0.2)
+                os._exit(137)
+            if h == 1.5:
+                # Still running when the N = 96 worker dies, so the broken
+                # pool fails it with the dead worker's task.
+                deadline = time.monotonic() + 60.0
+                while not marker.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(1.0)
+            return real(task)
+
+        monkeypatch.setattr(lmglab.cli, "_evaluate_task", killed_at_96)
+        monkeypatch.setattr(lmglab.cli, "_usable_cpus", lambda: 2)
+        assert main(["sweep-h", "--n", "64,96", "--h-list", "0.5,1.5", "--jobs", "2",
+                     "--out", str(tmp_path / "o")]) == 3
+        rows = json.loads((tmp_path / "o" / "sweep_h.json").read_text())["rows"]
+        assert [(r["N"], r["h"]) for r in rows] == [(64, 0.5), (64, 1.5), (96, 0.5), (96, 1.5)]
+        assert [r["status"] for r in rows[:2]] == ["ok"] * 2
+        assert all(r["status"].startswith(LOST) for r in rows[2:])
+        err = capsys.readouterr().err
+        assert err.count("point N=96 ") == 2 and err.count(LOST) == 2
+
     def test_pool_broken_while_tasks_are_submitted(self, tmp_path, monkeypatch):
         # Tasks the broken pool refuses are lost like the ones it had taken.
         from concurrent.futures import ProcessPoolExecutor

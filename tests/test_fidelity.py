@@ -664,14 +664,17 @@ class TestStencilSharing:
         assert len(decomposed) == 1
 
     def test_states_shared_across_tau_hold_ground_states_only(self):
-        # One dict across subsystem sizes, as tests/test_paper_claims.py's
-        # points() shares it: vectors stay, no reduced density matrix does.
-        states = {}
+        # One cache across subsystem sizes, as tests/test_paper_claims.py's
+        # points() shares it: the ground states stay, and only the last
+        # size's reduced density matrices do.
+        cache = {}
+        params = ModelParams(40, 0.5, 0.8)
         for m_sub in (10, 20, 30):
-            sweep_point(ModelParams(40, 0.5, 0.8), Bipartition(40, m_sub), delta=1e-4,
-                        states=states)
-        assert len(states) == 3
-        assert all(isinstance(v, DickeGroundState) for v in states.values())
+            sweep_point(params, Bipartition(40, m_sub), delta=1e-4, cache=cache)
+        states = [v for v in cache.values() if isinstance(v, DickeGroundState)]
+        reductions = [v for v in cache.values() if isinstance(v, ReducedDensity)]
+        assert len(states) == 3 and len(states) + len(reductions) == len(cache)
+        assert [rho.m_sub for rho in reductions] == [30] * 3  # h and h +- d/2
 
     def test_reductions_shared_by_the_methods_of_one_size(self, monkeypatch):
         # h, h +- d/2 for finite differences and h +- d for spectral.
@@ -683,14 +686,32 @@ class TestStencilSharing:
 
         monkeypatch.setattr(lmglab.fidelity, "reduce_state", counting)
         params, part = ModelParams(40, 0.5, 0.8), Bipartition(40, 20)
-        states, reductions = {}, {}
-        shared = [sweep_point(params, part, method=method, states=states,
-                              reductions=reductions)
+        cache = {}
+        shared = [sweep_point(params, part, method=method, cache=cache)
                   for method in ("finite-difference", "spectral")]
+        reductions = [v for v in cache.values() if isinstance(v, ReducedDensity)]
         assert len(reduced) == len(set(reduced)) == len(reductions) == 5
-        assert all(isinstance(v, ReducedDensity) for v in reductions.values())
         assert shared == [sweep_point(params, part, method=method)
                           for method in ("finite-difference", "spectral")]
+
+    def test_cache_drops_the_reductions_of_another_point(self):
+        # One cache, two h values at one M: the second call keeps the
+        # ground states of both but the reductions of its own point only.
+        def reductions(cache):
+            return [v for v in cache.values() if isinstance(v, ReducedDensity)]
+
+        part = Bipartition(40, 20)
+        first, second = ModelParams(40, 0.5, 0.8), ModelParams(40, 0.5, 1.2)
+        cache = {}
+        shared = [sweep_point(first, part, method="spectral", cache=cache)]
+        first_reductions = reductions(cache)
+        assert len(first_reductions) == 3  # h and h +- d
+        shared.append(sweep_point(second, part, method="spectral", cache=cache))
+        assert len(reductions(cache)) == 3
+        assert not any(rho is old for rho in reductions(cache) for old in first_reductions)
+        assert sum(isinstance(v, DickeGroundState) for v in cache.values()) == 2 * 7
+        assert shared == [sweep_point(params, part, method="spectral")
+                          for params in (first, second)]
 
     @pytest.mark.parametrize("h", [0.0, 0.8])
     def test_values_equal_fresh_solves(self, h):

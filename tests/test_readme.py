@@ -2,6 +2,7 @@
 and every public name is read in the package or named in README."""
 
 import ast
+import inspect
 import json
 import os
 import re
@@ -23,7 +24,16 @@ def test_library_use_example_runs():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.splitlines()) == 2
+    assert len(proc.stdout.splitlines()) == 4
+
+
+def test_library_use_section_names_every_sweep_point_parameter():
+    # A renamed or added keyword cannot leave the section describing the old one.
+    section = README.read_text().split("## Library use", 1)[1].split("\n## ", 1)[0]
+    # In inline code, so that neither prose nor the example counts.
+    missing = [name for name in inspect.signature(lmglab.sweep_point).parameters
+               if not re.search(rf"`[^`\n]*(?<!\w){name}(?!\w)[^`\n]*`", section)]
+    assert missing == []
 
 
 def test_command_line_examples_run(tmp_path):
