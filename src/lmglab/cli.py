@@ -37,10 +37,12 @@ points, one task per (N, h) pair, dispatched to a process pool sized by
 --jobs.  A task's sweep_point calls share one cache: its ground states
 are solved once for all of its subsystem sizes and methods, and the cache
 holds one size's reduced density matrices at a time, so a task's memory
-does not grow with the tau grid.  A point that runs out of memory is a
-failed row, like any other failed point.  A pool worker that dies breaks
-the pool; each task the pool did not return is rerun alone in a fresh
-worker, and only a task whose worker dies again gives failed rows.
+does not grow with the tau grid.  A point that runs out of memory, or
+whose arithmetic overflows or divides by zero (an extreme --delta or h),
+is a failed row naming the exception, like any other failed point.  A
+pool worker that dies breaks the pool; each task the pool did not return
+is rerun alone in a fresh worker, and only a task whose worker dies
+again gives failed rows.
 Output rows are sorted by (N, h, tau, method) after collection, so the
 result is deterministic regardless of scheduling.
 Each failed point, and each peak-scan peak on the grid's edge, is named on
@@ -116,6 +118,12 @@ ALL_FORMATS = ("csv", "json", "plotscript")
 # Window |h - 1| used for the critical-exponent fits in compare reports.
 EXPONENT_WINDOW = (1e-5, 1e-4)
 EXPONENT_POINTS = 10
+# Each fit's key in _exponent_fits, its compare.txt label and the paper's law.
+EXPONENT_LAWS = (
+    ("broken_chi_r_over_n_vs_1_minus_h", "chi_r/N (broken) slope", "-0.5"),
+    ("symmetric_chi_r_vs_h_minus_1", "chi_r (symmetric) slope", "-2"),
+    ("entropy_vs_log_abs_h_minus_1", "entropy vs ln|h-1| slope", "-0.25"),
+)
 # Large N so the intensive part of the broken-phase chi_r is negligible
 # when fitting the extensive divergence law of chi_r / N.
 EXPONENT_FIT_N = 10**12
@@ -436,10 +444,11 @@ def _evaluate_task(task: tuple) -> list[dict]:
                 warnings.simplefilter("always")
                 try:
                     if method == "analytic":
-                        row["chi_g"] = chi_g_analytic(h, gamma, n)
-                        row["chi_r"] = chi_r_analytic(h, gamma, row["tau"], n)
-                        row["eta"] = row["chi_r"] / row["chi_g"]
-                        row["entropy"] = entropy_analytic(h, gamma, row["tau"])
+                        # Filled at once, so a failed row keeps its NaN fields.
+                        chi_g = chi_g_analytic(h, gamma, n)
+                        chi_r = chi_r_analytic(h, gamma, row["tau"], n)
+                        row.update(chi_g=chi_g, chi_r=chi_r, eta=chi_r / chi_g,
+                                   entropy=entropy_analytic(h, gamma, row["tau"]))
                     else:
                         point = sweep_point(ModelParams(n, gamma, h), Bipartition(n, m_sub),
                                             delta=delta, method=method, cache=cache)
@@ -450,9 +459,9 @@ def _evaluate_task(task: tuple) -> list[dict]:
                 except (EigensolverError, ReducedDensityError, FidelityError,
                         ValueError) as exc:
                     row["status"] = f"failed: {exc}"
-                except MemoryError as exc:
+                except (MemoryError, ArithmeticError) as exc:
                     # str(MemoryError()) is empty, so the status names the type.
-                    row["status"] = f"failed: MemoryError{f': {exc}' if str(exc) else ''}"
+                    row["status"] = f"failed: {type(exc).__name__}{f': {exc}' if str(exc) else ''}"
             # Not a column: main moves these into the run's warnings.
             row["warnings"] = [str(w.message) for w in caught]
             rows.append(row)
@@ -787,18 +796,8 @@ def cmd_compare(config: dict, rows: list[dict], warnings_list: list[str], out: P
     if "error" in fits:
         text_lines.append(f"  not available: {fits['error']}")
     else:
-        text_lines.append(
-            f"  chi_r/N (broken) slope    {fits['broken_chi_r_over_n_vs_1_minus_h']:+.4f}"
-            "  (law: -0.5)"
-        )
-        text_lines.append(
-            f"  chi_r (symmetric) slope   {fits['symmetric_chi_r_vs_h_minus_1']:+.4f}"
-            "  (law: -2)"
-        )
-        text_lines.append(
-            f"  entropy vs ln|h-1| slope  {fits['entropy_vs_log_abs_h_minus_1']:+.4f}"
-            "  (law: -0.25)"
-        )
+        text_lines += [f"  {label:<25} {fits[key]:+.4f}  (law: {law})"
+                       for key, label, law in EXPONENT_LAWS]
     (out / "compare.txt").write_text("\n".join(text_lines) + "\n")
     write_json(
         out / "compare.json",

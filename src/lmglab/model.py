@@ -26,7 +26,8 @@ The window's energy E_w is then certified against the whole block:
 Cauchy interlacing gives E_w >= lambda_min, and one LDL^T factorization
 (``dpttrf``) of the block shifted to E_w - 1e-12 * ||T||_inf succeeding
 proves lambda_min > E_w - 1e-12 * ||T||_inf.  A window that fails the
-certificate widens; the whole block needs none.
+certificate widens; the whole block needs none.  The solve returns only
+the window, its first row and values, which ``ground_state`` writes into C.
 
 Only one block is solved when the other cannot hold the ground state: the
 block of N's parity (which holds k = N, the ground state at large h) is
@@ -62,6 +63,8 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .analytic import _check_field, _check_size
 
 # Accepted relative residual ||H v - E v|| / ||H||_inf of the ground pair.
 RESIDUAL_TOL = 1e-10
@@ -126,14 +129,10 @@ class ModelParams:
     h: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise ValueError(f"particle count must be an integer, got {self.n!r}")
-        if self.n < 2:
-            raise ValueError(f"particle count must be >= 2, got {self.n}")
+        _check_size(self.n)
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError(f"anisotropy must lie in [0, 1], got {self.gamma}")
-        if not (math.isfinite(self.h) and self.h >= 0.0):
-            raise ValueError(f"field must be finite and >= 0, got {self.h}")
+        _check_field(self.h)
 
 
 @dataclass(frozen=True)
@@ -225,16 +224,17 @@ def _bounded_below(diag: np.ndarray, off: np.ndarray, shift: float) -> bool:
 
 
 def _lowest_block_eigenpair(diag: np.ndarray, off: np.ndarray,
-                            norm: float) -> tuple[float, np.ndarray]:
+                            norm: float) -> tuple[float, int, np.ndarray]:
     """Lowest eigenpair of the symmetric tridiagonal block (diag, off).
 
     ``norm`` is the block's ``_row_sum_max``, which scales the certificate.
-    Solved on a certified window of rows (see the module docstring); the
-    returned vector is zero outside the window.
+    Solved on a certified window of rows (see the module docstring) and
+    returned as ``(energy, first_row, vector)``: the eigenvector's rows from
+    ``first_row`` on; it is zero outside them.
     """
     size = diag.size
     if size == 1:
-        return float(diag[0]), np.ones(1)
+        return float(diag[0]), 0, np.ones(1)
     if not math.isfinite(norm):
         raise ValueError("tridiagonal block has non-finite entries")
     coupling = np.abs(off)
@@ -247,14 +247,12 @@ def _lowest_block_eigenpair(diag: np.ndarray, off: np.ndarray,
     while True:
         energy, vec = _lowest_pair(diag[lo:hi], off[lo : hi - 1])
         if lo == 0 and hi == size:
-            return energy, vec
+            return energy, lo, vec
         widen_lo = lo > 0 and abs(vec[0]) > EDGE_FLOOR
         widen_hi = hi < size and abs(vec[-1]) > EDGE_FLOOR
         if not (widen_lo or widen_hi):
             if _bounded_below(diag, off, energy - CERTIFICATE_SLACK * norm):
-                full = np.zeros(size)
-                full[lo:hi] = vec
-                return energy, full
+                return energy, lo, vec
             widen_lo = widen_hi = True
         width = hi - lo
         if widen_lo:
@@ -301,20 +299,20 @@ def ground_state(params: ModelParams) -> DickeGroundState:
     start = params.n % 2  # the block holding k = N
     other = 1 - start
     try:
-        energy, block = _lowest_block_eigenpair(*blocks[start], norms[start])
+        energy, first, window = _lowest_block_eigenpair(*blocks[start], norms[start])
         # The even block wins ties, so the odd block must be lower by more
         # than the tolerance to win.
         shift = energy - tol if start == 0 else energy + tol
         if not _bounded_below(*blocks[other], shift):
-            pairs = {start: (energy, block),
+            pairs = {start: (energy, first, window),
                      other: _lowest_block_eigenpair(*blocks[other], norms[other])}
             start = 0 if pairs[0][0] <= pairs[1][0] + tol else 1
-            energy, block = pairs[start]
+            energy, first, window = pairs[start]
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise EigensolverError(f"tridiagonal eigensolver failed: {exc}", params) from exc
 
     coefficients = np.zeros(params.n + 1)
-    coefficients[start::2] = block
+    coefficients[start::2][first : first + window.size] = window
     coefficients /= np.linalg.norm(coefficients)
 
     # The other block's rows of H C - E C are exactly zero.

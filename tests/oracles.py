@@ -210,16 +210,13 @@ def two_block_ground_state(params) -> DickeGroundState:
     and ||H||_inf and the residual are taken over the full bands.
     """
     blocks = hamiltonian_blocks(params.n, params.gamma, params.h)
-    energy_even, vec_even = _lowest_block_eigenpair(*blocks[0], _row_sum_max(*blocks[0]))
-    energy_odd, vec_odd = _lowest_block_eigenpair(*blocks[1], _row_sum_max(*blocks[1]))
+    pairs = [_lowest_block_eigenpair(*block, _row_sum_max(*block)) for block in blocks]
     d, e = full_bands(blocks)
     scale = band_norm_inf(d, e)
-    if energy_even <= energy_odd + RESIDUAL_TOL * scale:
-        energy, block, start = energy_even, vec_even, 0
-    else:
-        energy, block, start = energy_odd, vec_odd, 1
+    start = 0 if pairs[0][0] <= pairs[1][0] + RESIDUAL_TOL * scale else 1
+    energy, first, window = pairs[start]
     coefficients = np.zeros(params.n + 1)
-    coefficients[start::2] = block
+    coefficients[start::2][first : first + window.size] = window
     coefficients /= np.linalg.norm(coefficients)
     residual = np.linalg.norm(band_matvec(d, e, coefficients) - energy * coefficients)
     if not residual <= RESIDUAL_TOL * scale:  # NaN fails too

@@ -345,8 +345,14 @@ class TestCompare:
         fits = report["exponent_fits"]
         assert fits["tau"] == 0.5
         assert ("error" not in fits) == fits_ok
-        assert "critical-exponent fits at tau=0.5 over |h-1| in [1e-05, 0.0001]:\n" in \
-            (tmp_path / "compare.txt").read_text()
+        if fits_ok:
+            lines = ("  chi_r/N (broken) slope    -0.5058  (law: -0.5)\n"
+                     "  chi_r (symmetric) slope   -2.0077  (law: -2)\n"
+                     "  entropy vs ln|h-1| slope  -0.2486  (law: -0.25)\n")
+        else:
+            lines = "  not available: gamma = 1 is singular for the closed forms\n"
+        assert (tmp_path / "compare.txt").read_text().endswith(
+            "\ncritical-exponent fits at tau=0.5 over |h-1| in [1e-05, 0.0001]:\n" + lines)
 
 
 class TestPeakScan:
@@ -944,11 +950,14 @@ FORKED_POOL = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
 
 
 class TestMemoryErrorIsAFailedPoint:
-    """A MemoryError inside one point fails that point, not the run."""
+    """A MemoryError or ArithmeticError inside one point fails that point, not the run."""
 
     @pytest.mark.parametrize("error, status", [
         (MemoryError(), "failed: MemoryError"),
         (MemoryError("cannot allocate"), "failed: MemoryError: cannot allocate"),
+        (OverflowError("math range error"), "failed: OverflowError: math range error"),
+        (ZeroDivisionError("float division by zero"),
+         "failed: ZeroDivisionError: float division by zero"),
     ])
     @pytest.mark.parametrize("jobs", [
         1,
@@ -971,6 +980,24 @@ class TestMemoryErrorIsAFailedPoint:
             [("64", "ok")] * 2 + [("96", status)] * 2
         err = capsys.readouterr().err
         assert err.count("point N=96 ") == 2 and err.count(status) == 2
+
+    @pytest.mark.parametrize("args, failed_h, status", [
+        # delta**2 underflows to 0 in the finite-difference quotient.
+        (("--h-list", "0.5", "--delta", "1e-170"), "5.000000000000e-01",
+         "failed: ZeroDivisionError: float division by zero"),
+        # chi_g underflows to 0, and eta divides by it.
+        (("--h-list", "0.5,1e100", "--methods", "analytic"), "1.000000000000e+100",
+         "failed: ZeroDivisionError: float division by zero"),
+    ], ids=["tiny-delta", "huge-h"])
+    def test_extreme_step_or_field_fails_its_point(self, tmp_path, args, failed_h, status):
+        proc = run_cli("sweep-h", "--n", "8", *args, "--jobs", "1", "--out", str(tmp_path))
+        assert proc.returncode == 3
+        assert f"point N=8 h={float(failed_h):g} tau=0.5" in proc.stderr
+        rows = read_rows(tmp_path / "sweep_h.csv")
+        for row in rows:
+            assert row["status"] == (status if row["h"] == failed_h else "ok")
+            if row["h"] == failed_h:
+                assert row["chi_g"] == row["chi_r"] == row["eta"] == "nan"
 
 
 LOST = "failed: pool worker lost: "

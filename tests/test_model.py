@@ -220,7 +220,9 @@ def _full_block_reference(diag, off):
 
 
 def _assert_same_pair(pair, reference, scale):
-    (energy, vec), (ref_energy, ref_vec) = pair, reference
+    (energy, first, window), (ref_energy, ref_vec) = pair, reference
+    vec = np.zeros(ref_vec.size)
+    vec[first : first + window.size] = window
     assert abs(energy - ref_energy) <= 1e-14 * scale
     sign = 1.0 if vec @ ref_vec >= 0.0 else -1.0
     assert np.abs(vec - sign * ref_vec).max() <= 1e-13
@@ -275,6 +277,20 @@ class TestWindowedBlockSolve:
             _full_block_reference(diag, off),
             float(np.max(diag + 2.0)),
         )
+
+    def test_returns_its_window_and_c_is_zero_outside_it(self):
+        # At N = 4096, gamma = 0.5, h = 0.5 the ground state fills a few
+        # hundred of the even block's 2049 rows, away from both ends.
+        params = ModelParams(4096, 0.5, 0.5)
+        diag, off = hamiltonian_blocks(params.n, params.gamma, params.h)[0]
+        energy, first, window = _lowest_block_eigenpair(diag, off, _row_sum_max(diag, off))
+        assert first > 0 and window.size < diag.size
+        state = ground_state(params)
+        assert state.sector == 0 and state.energy == energy
+        outside = np.ones(params.n + 1, dtype=bool)
+        outside[2 * first : 2 * (first + window.size) : 2] = False
+        assert state.coefficients[~outside].all()
+        assert not state.coefficients[outside].any()
 
     @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
     def test_lapack_failure_raises(self, monkeypatch, routine):
