@@ -30,7 +30,9 @@ records only the keys of its own flags.  A grid given on the command
 line, as a list or as start/stop/count, replaces the config file's grid
 in either form.  --tau outside (0, 1], --gamma outside [0, 1] and an h
 grid value below 0 are usage errors, as is a system size, method or
-format given twice.
+format given twice, and a --delta whose square is not a normal float,
+or, with a numeric method, an automatic step (1e-3 * max(1, h) at the
+grid's largest h) whose square is not.
 
 All four subcommands evaluate the same kind of grid of independent
 points, one task per (N, h) pair, dispatched to a process pool sized by
@@ -38,8 +40,8 @@ points, one task per (N, h) pair, dispatched to a process pool sized by
 are solved once for all of its subsystem sizes and methods, and the cache
 holds one size's reduced density matrices at a time, so a task's memory
 does not grow with the tau grid.  A point that runs out of memory, or
-whose arithmetic overflows or divides by zero (an extreme --delta or h),
-is a failed row naming the exception, like any other failed point.  A
+whose arithmetic overflows or divides by zero (an extreme h), is a
+failed row naming the exception, like any other failed point.  A
 pool worker that dies breaks the pool; each task the pool did not return
 is rerun alone in a fresh worker, and only a task whose worker dies
 again gives failed rows.
@@ -101,7 +103,7 @@ from .analytic import (
     entropy_analytic,
     loglog_slope,
 )
-from .fidelity import FidelityError, sweep_point
+from .fidelity import FidelityError, auto_delta, sweep_point
 from .model import EigensolverError, ModelParams
 from .reduced import Bipartition, ReducedDensityError
 
@@ -174,7 +176,15 @@ def _parse_delta(text: str) -> float | None:
         value = math.nan  # rejected below with the expected form
     if not (math.isfinite(value) and value > 0.0):
         raise UsageError(f"delta must be finite and positive, or 'auto', got {text!r}")
+    _check_step(value)
     return value
+
+
+def _check_step(step: float, where: str = "") -> None:
+    # A normal step**2 keeps chi = 2(1 - F)/step**2 finite: 2/step**2 is
+    # then at most 2/2.2e-308 = 9e307.
+    if not sys.float_info.min <= step * step <= sys.float_info.max:
+        raise UsageError(f"delta {step!r}{where} has a square that is not a normal float")
 
 
 _SHARED = ("sweep-h", "sweep-tau", "compare", "peak-scan")
@@ -370,6 +380,9 @@ def config_from_args(args: argparse.Namespace) -> dict:
         _check_tau([config["tau"]], "--tau")
     methods = config["methods"]
     _check_choices(methods, ALL_METHODS, "method")
+    if config["delta"] is None and any(m in NUMERIC_METHODS for m in methods):
+        h_max = max(config["h_values"])
+        _check_step(auto_delta(h_max), f" (automatic, at h = {h_max!r})")
     if "formats" in config:
         _check_choices(config["formats"], ALL_FORMATS, "format")
         if "plotscript" in config["formats"] and "csv" not in config["formats"]:

@@ -29,11 +29,11 @@ proves lambda_min > E_w - 1e-12 * ||T||_inf.  A window that fails the
 certificate widens; the whole block needs none.  The solve returns only
 the window, its first row and values, which ``ground_state`` writes into C.
 
-Only one block is solved when the other cannot hold the ground state: the
-block of N's parity (which holds k = N, the ground state at large h) is
-solved first, and one ``dpttrf`` of the other, whole block, shifted to
-the first block's energy minus or plus the parity tie-break tolerance,
-proves the other block's lowest eigenvalue lies beyond the tie-break.
+One certificate picks the parity block.  The block of N's parity (which
+holds k = N, the ground state at large h) is solved first; one ``dpttrf``
+of the other, whole block, shifted to that energy minus or plus the parity
+tie-break tolerance, proves that block's lowest eigenvalue lies beyond the
+tie-break, or fails, and then that block is solved and returned.
 
 The three LAPACK drivers come from scipy's compiled extension
 ``scipy.linalg._flapack``, loaded directly (``_load_flapack``) rather
@@ -274,18 +274,19 @@ def ground_state(params: ModelParams) -> DickeGroundState:
     of rows (bisection and inverse iteration, ``dstebz`` and ``dstein``;
     see the module docstring); coefficients outside it are exactly zero.
 
-    The even sector is returned when E_even <= E_odd + 1e-10 * ||H||_inf,
-    ||H||_inf being the larger of the two blocks' max row sums.
-    This is a tolerance, not a degeneracy test: within it the even state
-    is returned even when the odd one is lower, so near a level crossing
-    of the two sectors the returned sector switches where the splitting
-    passes that tolerance, not where it changes sign (at N = 40,
-    gamma = 0.5 the splitting changes sign at h = 0.65407 and the sector
-    switches at h = 0.65503).  Deep in the broken phase, where the doublet
-    is degenerate below machine resolution, the even state is returned.
-    The other block is solved only when one ``dpttrf`` of it cannot prove
-    that its lowest eigenvalue lies beyond the tie-break (see the module
-    docstring).
+    One ``dpttrf`` certificate picks the sector (see the module
+    docstring): the block of N's parity is solved first, and the other
+    block is solved and returned exactly when the certificate fails.  So,
+    up to rounding at the boundary, the even sector is returned when
+    E_even <= E_odd + 1e-10 * ||H||_inf, ||H||_inf being the larger of
+    the two blocks' max row sums.  This is a tolerance, not a degeneracy
+    test: within it the even state is returned even when the odd one is
+    lower, so near a level crossing of the two sectors the returned
+    sector switches where the splitting passes that tolerance, not where
+    it changes sign (at N = 40, gamma = 0.5 the splitting changes sign at
+    h = 0.65407 and the sector switches at h = 0.65503).  Deep in the
+    broken phase, where the doublet is degenerate below machine
+    resolution, the even state is returned.
 
     Raises
     ------
@@ -297,17 +298,14 @@ def ground_state(params: ModelParams) -> DickeGroundState:
     norms = [_row_sum_max(*block) for block in blocks]
     tol = RESIDUAL_TOL * max(norms)
     start = params.n % 2  # the block holding k = N
-    other = 1 - start
     try:
         energy, first, window = _lowest_block_eigenpair(*blocks[start], norms[start])
         # The even block wins ties, so the odd block must be lower by more
         # than the tolerance to win.
         shift = energy - tol if start == 0 else energy + tol
-        if not _bounded_below(*blocks[other], shift):
-            pairs = {start: (energy, first, window),
-                     other: _lowest_block_eigenpair(*blocks[other], norms[other])}
-            start = 0 if pairs[0][0] <= pairs[1][0] + tol else 1
-            energy, first, window = pairs[start]
+        if not _bounded_below(*blocks[1 - start], shift):
+            start = 1 - start
+            energy, first, window = _lowest_block_eigenpair(*blocks[start], norms[start])
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise EigensolverError(f"tridiagonal eigensolver failed: {exc}", params) from exc
 

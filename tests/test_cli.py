@@ -660,6 +660,8 @@ class TestRangeChecks:
     @pytest.mark.parametrize("flag, value", [
         ("--tau", "-1"), ("--tau", "0"), ("--tau", "1.5"), ("--tau", "nan"),
         ("--gamma", "2"), ("--gamma", "-0.1"), ("--delta", "nan"), ("--delta", "inf"),
+        # delta**2 underflows to 0 or overflows in the finite-difference quotient.
+        ("--delta", "1e-170"), ("--delta", "1e160"),
     ])
     def test_out_of_range_flag_usage_error(self, tmp_path, flag, value):
         proc = run_cli("sweep-h", "--n", "8", "--h-list", "0.5", flag, value,
@@ -672,6 +674,13 @@ class TestRangeChecks:
         cfg = write_config(tmp_path, "n = 8\n" "h-list = 0.5\n" "tau = -1\n")
         proc = run_cli("sweep-h", "--config", str(cfg), "--out", str(tmp_path))
         assert proc.returncode == 1
+
+    def test_overflowing_automatic_step_usage_error(self, tmp_path):
+        # The automatic step 1e-3 * h at h = 1e160 has a square that overflows.
+        proc = run_cli("sweep-h", "--n", "8", "--h-list", "0.5,1e160", "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert "delta 1e+157 (automatic, at h = 1e+160)" in proc.stderr
+        assert not (tmp_path / "sweep_h.csv").exists()
 
     @pytest.mark.parametrize("grid", [("--h-list", "0.5,1.5,1.0"),
                                       ("--tau-list", "0.5,0.25,0.75")])
@@ -982,13 +991,10 @@ class TestMemoryErrorIsAFailedPoint:
         assert err.count("point N=96 ") == 2 and err.count(status) == 2
 
     @pytest.mark.parametrize("args, failed_h, status", [
-        # delta**2 underflows to 0 in the finite-difference quotient.
-        (("--h-list", "0.5", "--delta", "1e-170"), "5.000000000000e-01",
-         "failed: ZeroDivisionError: float division by zero"),
         # chi_g underflows to 0, and eta divides by it.
         (("--h-list", "0.5,1e100", "--methods", "analytic"), "1.000000000000e+100",
          "failed: ZeroDivisionError: float division by zero"),
-    ], ids=["tiny-delta", "huge-h"])
+    ], ids=["huge-h"])
     def test_extreme_step_or_field_fails_its_point(self, tmp_path, args, failed_h, status):
         proc = run_cli("sweep-h", "--n", "8", *args, "--jobs", "1", "--out", str(tmp_path))
         assert proc.returncode == 3

@@ -605,6 +605,42 @@ class TestSweep:
         assert peaks[64][1] > peaks[32][1]
 
 
+class TestEveryM:
+    """Data processing and strong subadditivity over every subsystem size M.
+
+    The M-spin state is a partial trace of the (M + 1)-spin state, and
+    fidelity cannot fall under a partial trace, so at one delta chi_r is
+    nondecreasing in M up to chi_r(N) = chi_g (Uhlmann 1976; Petz, Linear
+    Algebra Appl. 244, 81 (1996)).  Strong subadditivity (Lieb and Ruskai
+    1973) makes the entropy of a permutation-symmetric state concave in M,
+    and purity makes S(M) = S(N - M).
+
+    Tolerances: one ulp of F just below 1 is eps/2, which moves
+    chi = 2(1 - F)/delta^2 by eps/delta^2, the finite-difference rounding
+    floor; the grid's worst drop is 7 such ulps and chi_r(N) - chi_g at
+    most 1.  The entropies agree with their mirrors within 6 eps.  Each
+    bound allows 32.
+    """
+
+    ULPS = 32
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_finite_difference_monotone_and_entropy_concave(self, n):
+        eps = np.finfo(float).eps
+        for h in (0.3, 0.6, 0.9, 0.97, 1.0, 1.03, 1.3, 2.0):
+            params, delta = ModelParams(n, 0.5, h), auto_delta(h)
+            floor = self.ULPS * eps / delta**2
+            cache = {}
+            points = [sweep_point(params, Bipartition(n, m), delta=delta, cache=cache)
+                      for m in range(1, n + 1)]
+            chi_r = np.array([p.chi_r for p in points])
+            entropy = np.array([0.0] + [p.entropy for p in points])  # S(0) = 0
+            assert np.all(np.diff(chi_r) >= -floor), h
+            assert abs(chi_r[-1] - points[0].chi_g) <= floor, h
+            assert np.all(np.diff(entropy, 2) <= self.ULPS * eps), h
+            assert np.all(np.abs(entropy - entropy[::-1]) <= self.ULPS * eps), h
+
+
 class TestStencilSharing:
     """sweep_point solves each distinct stencil field once per call."""
 
