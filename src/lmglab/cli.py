@@ -103,7 +103,7 @@ from .analytic import (
     entropy_analytic,
     loglog_slope,
 )
-from .fidelity import FidelityError, auto_delta, sweep_point
+from .fidelity import NUMERIC_METHODS, FidelityError, auto_delta, sweep_point
 from .model import EigensolverError, ModelParams
 from .reduced import Bipartition, ReducedDensityError
 
@@ -113,7 +113,6 @@ EXIT_IO = 2
 EXIT_NUMERICAL = 3
 
 COLUMNS = ("h", "N", "tau", "chi_g", "chi_r", "eta", "entropy", "method", "delta", "status")
-NUMERIC_METHODS = ("finite-difference", "spectral")
 ALL_METHODS = NUMERIC_METHODS + ("analytic",)
 ALL_FORMATS = ("csv", "json", "plotscript")
 

@@ -25,6 +25,7 @@ route forms a density matrix as a dense array.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -42,6 +43,8 @@ DEGENERACY_TOL = 1e-10
 POPULATION_CUTOFF = 1e-12
 # eta may exceed 1 only by numerical slack.
 ETA_SLACK = 1e-6
+# sweep_point's routes for chi_r, which the CLI calls its numeric methods.
+NUMERIC_METHODS = ("finite-difference", "spectral")
 
 
 class FidelityError(RuntimeError):
@@ -90,8 +93,9 @@ def uhlmann_fidelity(rho: ReducedDensity, sigma: ReducedDensity) -> float:
     Their columns need not align.  The sum is taken over the singular
     values of R B_K, with R the triangular factor of A_K^T = Q R, a core
     of at most K rows; no decomposition of rho or sigma is needed.  The
-    result is clipped into [0, 1] and is symmetric in its arguments to
-    ~1e-10; arguments of different subsystem size raise ValueError.
+    result, a sum of singular values, is clipped to at most 1 and is
+    symmetric in its arguments to ~1e-10; arguments of different subsystem
+    size raise ValueError.
     """
     _check_same_size(rho, sigma)
     fid = 0.0
@@ -102,7 +106,7 @@ def uhlmann_fidelity(rho: ReducedDensity, sigma: ReducedDensity) -> float:
         hi = max(lo, min(o_r + len(a), o_s + len(b)))
         core = np.linalg.qr(a[lo - o_r:hi - o_r].T, mode="r") @ b[lo - o_s:hi - o_s]
         fid += float(np.linalg.svd(core, compute_uv=False).sum())
-    return min(max(fid, 0.0), 1.0)
+    return min(fid, 1.0)
 
 
 def _check_same_size(*rhos: ReducedDensity) -> None:
@@ -114,35 +118,40 @@ def _check_same_size(*rhos: ReducedDensity) -> None:
 def _check_delta(delta: float) -> None:
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and positive, got {delta}")
+    # A normal delta**2 keeps chi = 2 (1 - F) / delta**2 finite.
+    if not sys.float_info.min <= delta * delta <= sys.float_info.max:
+        raise ValueError(f"delta {delta!r} has a square that is not a normal float")
 
 
-def bures_distance_sq(rho: ReducedDensity, sigma: ReducedDensity) -> float:
-    """Squared Bures distance 2 [1 - F(rho, sigma)]."""
-    return 2.0 * (1.0 - uhlmann_fidelity(rho, sigma))
+def bures_distance_sq(a, b) -> float:
+    """Squared Bures distance 2 [1 - F(a, b)] of two pure or two reduced states.
+
+    For two coefficient vectors F = |<a|b>|, so neither vector's sign
+    matters; for two ReducedDensity arguments F is ``uhlmann_fidelity``.
+    F is clipped to at most 1, so the distance is never negative.
+    """
+    fid = uhlmann_fidelity(a, b) if isinstance(a, ReducedDensity) else abs(float(np.dot(a, b)))
+    return 2.0 * (1.0 - min(fid, 1.0))
 
 
 def fs_finite_difference(
     value_at: Callable[[float], object], h: float, delta: float
 ) -> float:
-    """Susceptibility from the fidelity of states a step delta apart.
+    """Susceptibility bures_distance_sq / delta^2 of states a step delta apart.
 
     ``value_at`` maps a field value to either a pure-state coefficient
-    vector (fidelity is then the absolute overlap) or a ReducedDensity.
-    The stencil is symmetric, h +- delta/2, except at the domain boundary
-    h = 0 where it degrades to the one-sided pair (0, delta).
+    vector or a ReducedDensity (see ``bures_distance_sq``).  The stencil
+    is symmetric, h +- delta/2, except at the domain boundary h = 0 where
+    it degrades to the one-sided pair (0, delta).  A delta that is not
+    finite and positive, or whose square is not a normal float, raises
+    ValueError before ``value_at`` is called.
     """
     _check_delta(delta)
     lo = h - 0.5 * delta
     hi = h + 0.5 * delta
     if lo < 0.0:
         lo, hi = 0.0, delta
-    a = value_at(lo)
-    b = value_at(hi)
-    if isinstance(a, np.ndarray) and a.ndim == 1:
-        fid = min(abs(float(np.dot(a, np.asarray(b)))), 1.0)
-    else:
-        fid = uhlmann_fidelity(a, b)
-    chi = 2.0 * (1.0 - fid) / delta**2
+    chi = bures_distance_sq(value_at(lo), value_at(hi)) / delta**2
     if not math.isfinite(chi):
         raise FidelityError(f"non-finite susceptibility {chi}", h, delta)
     return chi
@@ -252,7 +261,7 @@ def sweep_point(
     """
     if params.n != part.n:
         raise ValueError(f"bipartition n={part.n} does not match params n={params.n}")
-    if method not in ("finite-difference", "spectral"):
+    if method not in NUMERIC_METHODS:
         raise ValueError(f"unknown method {method!r}")
     step = auto_delta(params.h) if delta is None else float(delta)
 
@@ -331,11 +340,10 @@ def sweep_point(
 
 
 def _check_point(point: SweepPoint) -> None:
-    for name in ("chi_g", "chi_r", "eta", "entropy"):
-        if not math.isfinite(getattr(point, name)):
-            raise FidelityError(f"{name} is not finite", point.h, point.delta)
-    if point.chi_r < 0.0 or point.chi_g < 0.0:
-        raise FidelityError("negative susceptibility", point.h, point.delta)
+    # The routes return finite chi, chi_r >= 0 and chi_g > 0, so eta is
+    # nonnegative or +inf, which the bound rejects.
+    if not math.isfinite(point.entropy):
+        raise FidelityError("entropy is not finite", point.h, point.delta)
     if not (0.0 <= point.eta <= 1.0 + ETA_SLACK):
         raise FidelityError(
             f"eta = {point.eta} outside [0, 1 + {ETA_SLACK}]", point.h, point.delta

@@ -220,7 +220,7 @@ def reduce_state(state: DickeGroundState, part: Bipartition) -> ReducedDensity:
         windows.append((offset, psi[rows, cols].copy()))
 
     trace_err = abs(trace - 1.0)
-    if trace_err > TRACE_TOL:
+    if not trace_err <= TRACE_TOL:  # also true for a NaN trace
         raise ReducedDensityError(
             f"trace deviates from 1 by {trace_err:.3e} (n={n}, m_sub={m_sub})"
         )
@@ -234,5 +234,7 @@ def von_neumann_entropy(rho: ReducedDensity) -> float:
     """
     w = np.concatenate([np.sort(w) for _, _, w in rho.spectra])
     w = w[w > ENTROPY_CUTOFF]
-    # An eigenvalue can sit one ulp above 1 and push the sum to -1e-16.
-    return max(float(-(w * np.log(w)).sum()), 0.0)
+    # An eigenvalue can sit one ulp above 1 and push the sum to -1e-16, and
+    # one eigenvalue of exactly 1 gives -0.0; adding +0.0 makes that +0.0
+    # and keeps a NaN.
+    return max(float(-(w * np.log(w)).sum()), 0.0) + 0.0

@@ -182,6 +182,14 @@ class TestBuresDistance:
             expected, abs=1e-12
         )
 
+    def test_coefficient_vectors(self):
+        a = ground_state(ModelParams(16, 0.5, 0.7)).coefficients
+        b = ground_state(ModelParams(16, 0.5, 0.71)).coefficients
+        expected = 2.0 * (1.0 - abs(float(np.dot(a, b))))
+        assert bures_distance_sq(a, b) == expected
+        assert bures_distance_sq(a, -b) == expected
+        assert bures_distance_sq(a, a) == pytest.approx(0.0, abs=1e-15)
+
 
 class TestFsFiniteDifference:
     def test_h_independent_family_is_zero(self):
@@ -234,6 +242,28 @@ class TestFsFiniteDifference:
         with pytest.raises(ValueError, match=f"delta must be finite and positive, got {delta}"):
             fs_finite_difference(lambda h: np.array([1.0]), 1.0, delta)
 
+    @pytest.mark.parametrize("delta", [1e-170, 1e160])
+    def test_step_whose_square_is_not_normal(self, delta):
+        # delta**2 would underflow to 0 or overflow; the states are not asked for.
+        def unreachable(h):
+            raise AssertionError("value_at called")
+
+        with pytest.raises(ValueError, match="square that is not a normal float"):
+            fs_finite_difference(unreachable, 1.0, delta)
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_is_the_bures_distance_over_delta_squared(self, reduced):
+        part = Bipartition(64, 32)
+
+        def value_at(h):
+            state = ground_state(ModelParams(64, 0.5, h))
+            return reduce_state(state, part) if reduced else state.coefficients
+
+        for h, delta in [(0.9, 1e-3), (1.2, 1.2e-3), (0.0, 1e-3)]:
+            lo, hi = (0.0, delta) if h == 0.0 else (h - 0.5 * delta, h + 0.5 * delta)
+            expected = bures_distance_sq(value_at(lo), value_at(hi)) / delta**2
+            assert fs_finite_difference(value_at, h, delta) == expected
+
 
 class TestFsSpectral:
     def test_h_independent_family_is_zero(self):
@@ -244,6 +274,12 @@ class TestFsSpectral:
     def test_non_finite_or_non_positive_delta(self, delta):
         rho, sigma = _rho([0.25, 0.75]), _rho([0.5, 0.5])
         with pytest.raises(ValueError, match=f"delta must be finite and positive, got {delta}"):
+            fs_spectral(rho, rho, sigma, delta)
+
+    @pytest.mark.parametrize("delta", [1e-170, 1e160])
+    def test_step_whose_square_is_not_normal(self, delta):
+        rho, sigma = _rho([0.25, 0.75]), _rho([0.5, 0.5])
+        with pytest.raises(ValueError, match="square that is not a normal float"):
             fs_spectral(rho, rho, sigma, delta)
 
     def test_no_basis_completion(self, monkeypatch):
@@ -552,6 +588,20 @@ class TestSweep:
         with pytest.raises(ValueError, match="delta must be finite and positive, got nan"):
             sweep_point(ModelParams(16, 0.5, 0.9), Bipartition(16, 8), delta=math.nan,
                         method=method)
+
+    def test_automatic_step_whose_square_overflows_solves_nothing(self, monkeypatch):
+        # At h = 1e160 the automatic step is 1e157, whose square overflows.
+        def no_solve(params):
+            raise AssertionError("ground_state called")
+
+        monkeypatch.setattr(lmglab.fidelity, "ground_state", no_solve)
+        with pytest.raises(ValueError, match="square that is not a normal float"):
+            sweep_point(ModelParams(8, 0.5, 1e160), Bipartition(8, 4), delta=None)
+
+    def test_non_finite_entropy_raises(self, monkeypatch):
+        monkeypatch.setattr(lmglab.fidelity, "von_neumann_entropy", lambda rho: math.nan)
+        with pytest.raises(FidelityError, match="entropy is not finite"):
+            sweep_point(ModelParams(16, 0.5, 0.9), Bipartition(16, 8), delta=1e-3)
 
     def test_zero_chi_g_point_raises(self):
         # gamma=1, h=0 makes chi_g exactly zero (S_z is conserved, the

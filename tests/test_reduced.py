@@ -202,6 +202,15 @@ class TestReduceState:
             with pytest.raises(ReducedDensityError, match="both k-parity sectors"):
                 reduce_state(mixed, Bipartition(8, 4))
 
+    def test_nan_trace_raises(self):
+        # A NaN coefficient in the window makes every row mass NaN, so no row
+        # would be kept; the trace check must not read NaN as within tolerance.
+        state = ground_state(ModelParams(16, 0.5, 0.7))
+        coefficients = state.coefficients.copy()
+        coefficients[int(np.argmax(np.abs(coefficients)))] = math.nan
+        with pytest.raises(ReducedDensityError, match="trace deviates from 1 by nan"):
+            reduce_state(replace(state, coefficients=coefficients), Bipartition(16, 8))
+
     def test_size_mismatch_raises(self):
         state = ground_state(ModelParams(8, 0.5, 0.7))
         with pytest.raises(ValueError):
@@ -271,6 +280,12 @@ class TestVonNeumannEntropy:
         # it, leaving only the -(1-1e-15) ln(1-1e-15) ~ 1e-15 remainder.
         rho = reduced_from_matrix(np.diag([1.0 - 1e-15, 1e-15]))
         assert von_neumann_entropy(rho) < 2e-15
+
+    def test_pure_subsystem_entropy_is_positive_zero(self):
+        # At tau = 1 the single eigenvalue is exactly 1, and -1 * ln 1 is -0.0.
+        state = ground_state(ModelParams(256, 0.5, 0.9))
+        entropy = von_neumann_entropy(reduce_state(state, Bipartition(256, 256)))
+        assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
 
     def test_negative_eigenvalue_below_floor_raises(self):
         # Factors cannot hold a negative eigenvalue; the dense input is
