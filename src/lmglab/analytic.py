@@ -48,6 +48,11 @@ def _check_size(n: int) -> None:
         raise ValueError(f"particle count must be >= 2, got {n}")
 
 
+def _check_anisotropy(gamma: float) -> None:
+    if not (0.0 <= gamma <= 1.0):
+        raise ValueError(f"anisotropy must lie in [0, 1], got {gamma}")
+
+
 def _check_alpha(alpha_value: float) -> None:
     if not (math.isfinite(alpha_value) and alpha_value > 0.0):
         raise ValueError(f"alpha must be finite and positive, got {alpha_value}")

@@ -28,11 +28,16 @@ command line, else the config-file value, else the built-in default.  A
 file may carry any subcommand's keys; a subcommand reads, checks and
 records only the keys of its own flags.  A grid given on the command
 line, as a list or as start/stop/count, replaces the config file's grid
-in either form.  --tau outside (0, 1], --gamma outside [0, 1] and an h
-grid value below 0 are usage errors, as is a system size, method or
-format given twice, and a --delta whose square is not a normal float,
-or, with a numeric method, an automatic step (1e-3 * max(1, h) at the
-grid's largest h) whose square is not.
+in either form.  Each value is checked by the library's own rule for it,
+and a value the library rejects is a usage error naming its flag: a
+system size below 2, --gamma outside [0, 1], --tau or a tau grid value
+outside (0, 1], an h grid value that is not finite and >= 0, --m outside
+[1, N], a --delta that is not finite and positive or whose square is not
+a normal float, and, with a numeric method, an automatic step
+(1e-3 * max(1, h) at the grid's largest h) whose square is not.  A
+system size, method or format given twice is a usage error too, and so
+is a grid whose output rows would not fit in the memory the process may
+use.
 
 All four subcommands evaluate the same kind of grid of independent
 points, one task per (N, h) pair, dispatched to a process pool sized by
@@ -98,12 +103,16 @@ import numpy as np
 from . import __version__
 from .analytic import (
     CriticalPointError,
+    _check_anisotropy,
+    _check_field,
+    _check_size,
+    _check_tau,
     chi_g_analytic,
     chi_r_analytic,
     entropy_analytic,
     loglog_slope,
 )
-from .fidelity import NUMERIC_METHODS, FidelityError, auto_delta, sweep_point
+from .fidelity import NUMERIC_METHODS, FidelityError, _check_delta, auto_delta, sweep_point
 from .model import EigensolverError, ModelParams
 from .reduced import Bipartition, ReducedDensityError
 
@@ -143,6 +152,18 @@ class UsageError(ValueError, argparse.ArgumentTypeError):
     """
 
 
+def _check(flag: str, rule, *args) -> None:
+    """Apply a library rule to a setting; its ValueError becomes a usage error.
+
+    The message names flag, unless flag is empty: argparse names the flag of
+    a value that an option's type rejects.
+    """
+    try:
+        rule(*args)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}" if flag else str(exc)) from None
+
+
 def _split(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip()]
 
@@ -172,18 +193,9 @@ def _parse_delta(text: str) -> float | None:
     try:
         value = float(text)
     except ValueError:
-        value = math.nan  # rejected below with the expected form
-    if not (math.isfinite(value) and value > 0.0):
-        raise UsageError(f"delta must be finite and positive, or 'auto', got {text!r}")
-    _check_step(value)
+        raise UsageError(f"delta must be finite and positive, or 'auto', got {text!r}") from None
+    _check("", _check_delta, value)
     return value
-
-
-def _check_step(step: float, where: str = "") -> None:
-    # A normal step**2 keeps chi = 2(1 - F)/step**2 finite: 2/step**2 is
-    # then at most 2/2.2e-308 = 9e307.
-    if not sys.float_info.min <= step * step <= sys.float_info.max:
-        raise UsageError(f"delta {step!r}{where} has a square that is not a normal float")
 
 
 _SHARED = ("sweep-h", "sweep-tau", "compare", "peak-scan")
@@ -285,41 +297,64 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_finite(values: list[float], what: str) -> None:
-    for value in values:
-        if not math.isfinite(value):
-            raise UsageError(f"{what} grid values must be finite, got {value!r}")
+def _grid(config: dict, what: str, rule) -> list[float]:
+    """The grid of config's list or start/stop/count keys, which it removes.
 
-
-def _monotone(values: list[float], what: str) -> list[float]:
-    if not values:
-        raise UsageError(f"empty {what} grid")
-    _check_finite(values, what)
-    diffs = np.diff(values)
-    if len(values) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
-        raise UsageError(f"{what} grid must be strictly monotone")
-    return values
-
-
-def _grid(config: dict, what: str) -> list[float]:
-    """The grid of config's list or start/stop/count keys, which it removes."""
+    Each value must pass rule, the library's check for the axis: a listed
+    value itself, a range through its start and stop, between which every
+    value of the range lies.
+    """
     listed, start, stop, count = (config.pop(f"{what}_{end}", None)
                                   for end in ("list", "start", "stop", "count"))
     if listed is not None:
-        return _monotone(list(listed), what)
-    if start is None or stop is None or count is None:
+        for value in listed:
+            _check(f"--{what}-list", rule, value)
+    elif start is None or stop is None or count is None:
         raise UsageError(
             f"no {what} grid: give --{what}-list or --{what}-start/--{what}-stop/--{what}-count"
         )
-    if count < 1:
+    elif count < 1:
         raise UsageError(f"--{what}-count must be >= 1, got {count}")
-    _check_finite([start, stop], what)
-    return _monotone([float(x) for x in np.linspace(start, stop, count)], what)
+    else:
+        _check(f"--{what}-start", rule, start)
+        _check(f"--{what}-stop", rule, stop)
+        listed = [float(x) for x in np.linspace(start, stop, count)]
+    if not listed:
+        raise UsageError(f"empty {what} grid")
+    diffs = np.diff(listed)
+    if len(listed) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
+        raise UsageError(f"{what} grid must be strictly monotone")
+    return listed
 
 
-def _check_tau(values: list[float], what: str) -> None:
-    if any(not 0.0 < t <= 1.0 for t in values):
-        raise UsageError(f"{what} must lie in (0, 1]")
+def _grid_size(config: dict, what: str) -> int:
+    """The number of values in the grid of config's keys, before _grid builds it; 0 for none."""
+    listed, count = config[f"{what}_list"], config[f"{what}_count"]
+    return len(listed) if listed is not None else max(count or 0, 0)
+
+
+def _usable_memory() -> int:
+    """Bytes this process may use: physical memory, or its cgroup v2 memory.max if lower."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        group = next(line[3:] for line in Path("/proc/self/cgroup").read_text().splitlines()
+                     if line.startswith("0::"))
+        limit = Path("/sys/fs/cgroup", group.lstrip("/"), "memory.max").read_text().strip()
+    except (OSError, StopIteration):
+        return physical
+    return physical if limit == "max" else min(physical, int(limit))
+
+
+def _check_rows(rows: int) -> None:
+    """Reject a grid whose output rows would not fit in the memory the process may use."""
+    # Bytes per row, measured with tracemalloc over 10^4 and 5 * 10^4 sweep-h
+    # rows: 641 for the row itself, and a peak of 2300 more while write_json
+    # encodes it.
+    need, memory = rows * 2940, _usable_memory()
+    if need > memory:
+        raise UsageError(f"the grid's {rows} rows (sizes x fields x subsystem sizes x methods) "
+                         f"need about {need / 2**30:.3g} GiB, more than the "
+                         f"{memory / 2**30:.3g} GiB this process may use")
 
 
 def _check_unique(values: list, what: str) -> None:
@@ -360,28 +395,29 @@ def config_from_args(args: argparse.Namespace) -> dict:
     config = {key: given.get(key, file_values.get(key, default))
               for key, default in defaults.items()}
     config["command"] = command
-    config["h_values"] = _grid(config, "h")
-    if min(config["h_values"]) < 0.0:
-        raise UsageError(f"h grid values must be >= 0, got {min(config['h_values'])!r}")
-    if "tau_list" in config:
-        config["tau_values"] = _grid(config, "tau")
-        _check_tau(config["tau_values"], "tau grid values")
+    grids = {"h": _check_field}
+    if "tau_list" in config:  # sweep-tau's rows run over a tau grid too
+        grids["tau"] = _check_tau
+    # Before any grid is built, so that its size cannot exhaust memory first.
+    _check_rows(len(config["n"]) * len(config["methods"])
+                * math.prod(_grid_size(config, axis) for axis in grids))
+    for axis, rule in grids.items():
+        config[f"{axis}_values"] = _grid(config, axis, rule)
 
     n_list = config["n"]
     if not n_list:
         raise UsageError("empty system-size list")
-    if any(n < 2 for n in n_list):
-        raise UsageError(f"system sizes must be >= 2, got {n_list}")
+    for n in n_list:
+        _check("--n", _check_size, n)
     _check_unique(n_list, "system size")
-    if not 0.0 <= config["gamma"] <= 1.0:
-        raise UsageError(f"--gamma must lie in [0, 1], got {config['gamma']}")
+    _check("--gamma", _check_anisotropy, config["gamma"])
     if "tau" in config:
-        _check_tau([config["tau"]], "--tau")
+        _check("--tau", _check_tau, config["tau"])
     methods = config["methods"]
     _check_choices(methods, ALL_METHODS, "method")
     if config["delta"] is None and any(m in NUMERIC_METHODS for m in methods):
         h_max = max(config["h_values"])
-        _check_step(auto_delta(h_max), f" (automatic, at h = {h_max!r})")
+        _check(f"--delta auto (at h = {h_max!r})", _check_delta, auto_delta(h_max))
     if "formats" in config:
         _check_choices(config["formats"], ALL_FORMATS, "format")
         if "plotscript" in config["formats"] and "csv" not in config["formats"]:
@@ -418,8 +454,7 @@ def _echo_line(config: dict) -> str:
 def _resolve_m_sub(n: int, tau: float, m_sub: int | None) -> tuple[int, str | None]:
     """Subsystem size for one n, with a warning when tau*n must be rounded."""
     if m_sub is not None:
-        if not 1 <= m_sub <= n:
-            raise UsageError(f"--m {m_sub} outside [1, {n}]")
+        _check("--m", Bipartition, n, m_sub)
         return m_sub, None
     exact = tau * n
     m = int(round(exact))

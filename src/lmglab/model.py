@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _check_field, _check_size
+from .analytic import _check_anisotropy, _check_field, _check_size
 
 # Accepted relative residual ||H v - E v|| / ||H||_inf of the ground pair.
 RESIDUAL_TOL = 1e-10
@@ -130,8 +130,7 @@ class ModelParams:
 
     def __post_init__(self):
         _check_size(self.n)
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ValueError(f"anisotropy must lie in [0, 1], got {self.gamma}")
+        _check_anisotropy(self.gamma)
         _check_field(self.h)
 
 

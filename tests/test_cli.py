@@ -9,12 +9,14 @@ import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+import lmglab.analytic
 import lmglab.cli
 import lmglab.fidelity
 from lmglab.cli import BLAS_THREAD_VARS, _evaluate_task, _pool_size, _usable_cpus, main
@@ -679,7 +681,8 @@ class TestRangeChecks:
         # The automatic step 1e-3 * h at h = 1e160 has a square that overflows.
         proc = run_cli("sweep-h", "--n", "8", "--h-list", "0.5,1e160", "--out", str(tmp_path))
         assert proc.returncode == 1
-        assert "delta 1e+157 (automatic, at h = 1e+160)" in proc.stderr
+        assert proc.stderr == ("lmglab: error: --delta auto (at h = 1e+160): "
+                               "delta 1e+157 has a square that is not a normal float\n")
         assert not (tmp_path / "sweep_h.csv").exists()
 
     @pytest.mark.parametrize("grid", [("--h-list", "0.5,1.5,1.0"),
@@ -698,15 +701,18 @@ class TestRangeChecks:
     def test_non_finite_h_grid_usage_error(self, tmp_path, grid, value):
         proc = run_cli("sweep-h", "--n", "8", *grid, "--out", str(tmp_path))
         assert proc.returncode == 1
-        assert proc.stderr.strip() == f"lmglab: error: h grid values must be finite, got {value}"
+        flag = grid[grid.index(value) - 1]
+        assert proc.stderr.strip() == \
+            f"lmglab: error: {flag}: field must be finite and >= 0, got {value}"
         assert not (tmp_path / "sweep_h.csv").exists()
 
-    @pytest.mark.parametrize("source, value", [
-        (["--h-list=-0.5,0.5"], "-0.5"),
-        (["--h-start", "-0.1", "--h-stop", "0.5", "--h-count", "3"], "-0.1"),
-        ("h-start = -0.2\nh-stop = 0.2\nh-count = 2\n", "-0.2"),
+    @pytest.mark.parametrize("source, flag, value", [
+        (["--h-list=-0.5,0.5"], "--h-list", "-0.5"),
+        (["--h-start", "-0.1", "--h-stop", "0.5", "--h-count", "3"], "--h-start", "-0.1"),
+        ("h-start = -0.2\nh-stop = 0.2\nh-count = 2\n", "--h-start", "-0.2"),
     ], ids=["list", "range", "config"])
-    def test_negative_h_grid_usage_error(self, tmp_path, capsys, monkeypatch, source, value):
+    def test_negative_h_grid_usage_error(self, tmp_path, capsys, monkeypatch, source, flag,
+                                         value):
         def no_compute(task):
             raise AssertionError(f"point computed for a negative field: {task}")
 
@@ -718,20 +724,22 @@ class TestRangeChecks:
                      "--methods", "finite-difference,analytic", "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == \
-            f"lmglab: error: h grid values must be >= 0, got {value}\n"
+            f"lmglab: error: {flag}: field must be finite and >= 0, got {value}\n"
         assert not out.exists()
 
     def test_non_finite_tau_grid_usage_error(self, tmp_path):
         proc = run_cli("sweep-tau", "--n", "8", "--h-list", "0.5", "--tau-start", "0.5",
                        "--tau-stop", "nan", "--tau-count", "2", "--out", str(tmp_path))
         assert proc.returncode == 1
-        assert proc.stderr.strip() == "lmglab: error: tau grid values must be finite, got nan"
+        assert proc.stderr.strip() == "lmglab: error: --tau-stop: tau must lie in (0, 1], got nan"
+        assert not (tmp_path / "sweep_tau.csv").exists()
 
     def test_tau_grid_range_error(self, tmp_path):
         proc = run_cli("sweep-tau", "--n", "8", "--h-list", "0.5", "--tau-list", "-1",
                        "--out", str(tmp_path))
         assert proc.returncode == 1
-        assert "tau grid values must lie in (0, 1]" in proc.stderr
+        assert proc.stderr.strip() == "lmglab: error: --tau-list: tau must lie in (0, 1], got -1.0"
+        assert not (tmp_path / "sweep_tau.csv").exists()
 
     def test_isotropic_gamma_accepted(self, tmp_path):
         # gamma = 1 is in range; its points fail numerically, not as usage.
@@ -739,6 +747,115 @@ class TestRangeChecks:
                        "--tau", "1", "--out", str(tmp_path))
         assert proc.returncode == 3
         assert read_rows(tmp_path / "sweep_h.csv")[0]["status"].startswith('"failed:')
+
+    @pytest.mark.parametrize("command, source, flag", [
+        ("sweep-h", ["--n", "1"], "--n"),
+        ("sweep-h", ["--n", "8", "--m", "0"], "--m"),
+        ("sweep-h", ["--n", "8", "--m", "9"], "--m"),
+        ("sweep-h", ["--n", "8", "--h-list=-0.5"], "--h-list"),
+        ("sweep-h", "n = 8\ngamma = 2\n", "--gamma"),
+        ("sweep-tau", ["--n", "8", "--tau-list", "0"], "--tau-list"),
+    ], ids=["n", "m-low", "m-high", "h-list", "config-gamma", "tau-list"])
+    def test_value_error_names_its_flag(self, tmp_path, capsys, command, source, flag):
+        if isinstance(source, str):
+            source = ["--config", str(write_config(tmp_path, source))]
+        out = tmp_path / "o"
+        assert main([command, "--h-list", "0.5", *source, "--jobs", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"lmglab: error: {flag}: ")
+        assert not out.exists()
+
+
+def cli_accepts(argv: list[str]) -> bool:
+    """Whether the CLI's usage checks, through the tasks' subsystem sizes, pass argv."""
+    cli = lmglab.cli
+    try:
+        cli._tasks(cli.config_from_args(cli.build_parser().parse_args(argv)))
+    except (cli.UsageError, SystemExit):  # argparse exits on a value its type rejects
+        return False
+    return True
+
+
+def library_accepts(rule, value) -> bool:
+    try:
+        rule(value)
+    except ValueError:
+        return False
+    return True
+
+
+# Each rule on a CLI input, the library statement of it, and its edge values;
+# "{}" in the arguments takes the value.
+LIBRARY_RULES = [
+    ("delta", ["sweep-h", "--h-list", "0.5", "--delta={}"], lmglab.fidelity._check_delta,
+     [0.0, -1.0, math.nan, math.inf, 1e-170, 1e-154, 1e-150, 1e150, 1e154, 1e160]),
+    ("h-list", ["sweep-h", "--h-list={}"], lmglab.analytic._check_field,
+     [-0.0, 0.0, -1e-300, math.inf, math.nan]),
+    ("h-start", ["sweep-h", "--h-start={}", "--h-stop", "2", "--h-count", "2"],
+     lmglab.analytic._check_field, [-0.0, 0.0, -1e-300, math.inf, math.nan]),
+    ("tau", ["sweep-h", "--h-list", "0.5", "--tau={}"], lmglab.analytic._check_tau,
+     [0.0, 1e-300, 1.0, 1.0 + 2**-52, math.nan]),
+    ("tau-list", ["sweep-tau", "--h-list", "0.5", "--tau-list={}"], lmglab.analytic._check_tau,
+     [0.0, 1e-300, 1.0, 1.0 + 2**-52, math.nan]),
+    ("n", ["sweep-h", "--h-list", "0.5", "--n={}"], lmglab.analytic._check_size, [1, 2]),
+    ("gamma", ["sweep-h", "--h-list", "0.5", "--gamma={}"], lambda g: ModelParams(8, g, 0.5),
+     [-0.0, 0.0, 1.0, 1.0 + 2**-52, math.nan]),
+    ("m", ["sweep-h", "--h-list", "0.5", "--m={}"], lambda m: Bipartition(8, m), [0, 1, 8, 9]),
+]
+
+
+@pytest.mark.parametrize("args, rule, value", [
+    pytest.param(args, rule, value, id=f"{name}={value!r}")
+    for name, args, rule, values in LIBRARY_RULES for value in values
+])
+def test_cli_accepts_what_the_library_accepts(args, rule, value):
+    argv = [arg.format(repr(value)) for arg in args]
+    if "--n" not in " ".join(argv):
+        argv += ["--n", "8"]
+    assert cli_accepts(argv) == library_accepts(rule, value)
+
+
+class TestGridBound:
+    """A grid whose rows would not fit in memory is refused before it is built."""
+
+    @pytest.mark.parametrize("command, grid", [
+        ("sweep-h", ["--h-start", "0", "--h-stop", "1", "--h-count", str(10**12)]),
+        ("sweep-tau", ["--h-list", "0.5", "--tau-start", "0.1", "--tau-stop", "1",
+                       "--tau-count", str(10**12)]),
+    ])
+    def test_oversized_count_refused_before_the_grid_is_built(self, tmp_path, capsys,
+                                                              monkeypatch, command, grid):
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(lmglab.cli.np, "linspace", no_linspace)
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = main([command, "--n", "8", *grid, "--jobs", "1", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert f"the grid's {10**12} rows" in capsys.readouterr().err
+        assert peak < 1e6
+        assert not out.exists()
+
+    def test_rows_multiply_sizes_fields_subsystem_sizes_and_methods(self, monkeypatch):
+        # 2 sizes x 3 fields x 4 tau values x 2 methods = 48 rows.
+        args = lmglab.cli.build_parser().parse_args(
+            ["sweep-tau", "--n", "8,16", "--h-list", "0.5,0.6,0.7",
+             "--tau-start", "0.25", "--tau-stop", "1", "--tau-count", "4",
+             "--methods", "finite-difference,spectral"])
+        row_bytes = 2940
+        monkeypatch.setattr(lmglab.cli, "_usable_memory", lambda: 48 * row_bytes)
+        assert lmglab.cli.config_from_args(args)["tau_values"] == [0.25, 0.5, 0.75, 1.0]
+        monkeypatch.setattr(lmglab.cli, "_usable_memory", lambda: 48 * row_bytes - 1)
+        with pytest.raises(lmglab.cli.UsageError, match="the grid's 48 rows"):
+            lmglab.cli.config_from_args(args)
+
+    def test_usable_memory_at_most_physical(self):
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert 0 < lmglab.cli._usable_memory() <= physical
 
 
 def test_peak_scan_failure_named_on_stderr(tmp_path):
